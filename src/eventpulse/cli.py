@@ -214,19 +214,15 @@ def _cmd_interactions(args: argparse.Namespace, config: GlobalConfig) -> int:
     if args.communities or args.gexf:
         communities = graphs.label_propagation(g, seed=config.seed)
         if args.communities:
+            nodes = sorted(communities, key=lambda n: (n.casefold(), n))
             if config.output_format == "csv":
                 print("node,community")
-                for node in sorted(communities, key=lambda n: (n.casefold(), n)):
+                for node in nodes:
                     print(f"{node},{communities[node]}")
             else:
                 _emit_table(
                     ["node", "community"],
-                    [
-                        [node, str(communities[node])]
-                        for node in sorted(
-                            communities, key=lambda n: (n.casefold(), n)
-                        )
-                    ],
+                    [[node, str(communities[node])] for node in nodes],
                 )
         if args.gexf:
             graphs.export_gexf(g, communities, args.gexf)

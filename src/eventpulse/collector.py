@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import logging
+import os
 import queue
 import re
 import socket
@@ -521,10 +522,31 @@ class ArchiveWriter:
         day = _clock_date(self._clock)
         handle = self._handles.get(day)
         if handle is None:
-            handle = open(self._directory / f"{day}.jsonl", "ab")
+            handle = self._open_day(self._directory / f"{day}.jsonl")
             self._handles[day] = handle
         handle.write(raw + b"\n")
         handle.flush()
+
+    @staticmethod
+    def _open_day(path: Path) -> BinaryIO:
+        """Open for appending; terminate a partial last line left by a crash.
+
+        Without this the next record would be glued onto the fragment and
+        both lost as one malformed line. Terminated, the fragment counts as
+        one malformed line and the new record survives.
+        """
+        handle = open(path, "a+b")
+        try:
+            size = handle.seek(0, os.SEEK_END)
+            if size:
+                handle.seek(size - 1)
+                if handle.read(1) != b"\n":
+                    log.warning("%s ends in a partial line; terminating it", path)
+                    handle.write(b"\n")
+        except OSError:
+            handle.close()
+            raise
+        return handle
 
     def close(self) -> None:
         for handle in self._handles.values():

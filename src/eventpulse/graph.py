@@ -72,15 +72,21 @@ class WeightedGraph:
     def total_weight(self) -> int:
         return sum(self.edges.values())
 
+    def weighted_degrees(self) -> dict[str, int]:
+        """In-weight plus out-weight of every node, from one pass over the edges.
+
+        A self-loop counts on both sides. Nodes without edges map to 0;
+        edge endpoints missing from ``nodes`` are counted all the same.
+        """
+        degrees = dict.fromkeys(self.nodes, 0)
+        for (source, target, _kind), weight in self.edges.items():
+            degrees[source] = degrees.get(source, 0) + weight
+            degrees[target] = degrees.get(target, 0) + weight
+        return degrees
+
     def weighted_degree(self, node: str) -> int:
         """In-weight plus out-weight; a self-loop counts on both sides."""
-        total = 0
-        for (source, target, _kind), weight in self.edges.items():
-            if source == node:
-                total += weight
-            if target == node:
-                total += weight
-        return total
+        return self.weighted_degrees().get(node, 0)
 
     def undirected_adjacency(self) -> dict[str, dict[str, int]]:
         """Neighbor weights with direction and kind collapsed."""
@@ -144,14 +150,16 @@ def _name_order(name: str) -> tuple[str, str]:
 def notable_subgraph(graph: WeightedGraph, top_n: int = 50) -> WeightedGraph:
     """Keep the top_n nodes by weighted degree and the edges among them.
 
-    Degree ties break toward the lexicographically smaller name
-    (case-insensitive). Applying the same cut twice is a no-op.
+    Weighted degree is in-weight plus out-weight, so a self-loop counts
+    twice. Ties go to the case-insensitively smaller name, then to the
+    exact name. Only edges with both endpoints kept survive, and
+    applying the same cut twice is a no-op.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
+    degrees = graph.weighted_degrees()
     ranked = sorted(
-        graph.nodes,
-        key=lambda node: (-graph.weighted_degree(node), *_name_order(node)),
+        graph.nodes, key=lambda node: (-degrees[node], *_name_order(node))
     )
     keep = set(ranked[:top_n])
     return WeightedGraph(

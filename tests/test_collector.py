@@ -25,6 +25,7 @@ from eventpulse.collector import (
     matches_track,
 )
 from eventpulse.mockserver import MockStreamServer
+from eventpulse.tweets import read_archive
 
 MANUAL_CLOCK_DAY = "2001-09-09"  # UTC date of the ManualClock epoch
 
@@ -354,6 +355,34 @@ class TestCollectStream:
             stream_job(tmp_path), source, clock=ManualClock()
         )
         assert stats.written <= stats.matched <= stats.received
+
+
+class TestArchiveTail:
+    def day_file(self, tmp_path, payload: bytes):
+        path = tmp_path / "proba" / f"{MANUAL_CLOCK_DAY}.jsonl"
+        path.parent.mkdir()
+        path.write_bytes(payload)
+        return path
+
+    def test_torn_tail_is_terminated_before_appending(self, tmp_path, caplog):
+        path = self.day_file(tmp_path, matching_line(1).encode() + b'\n{"id": 2, "tex')
+        stats = collect_stream(
+            stream_job(tmp_path), ReplaySource([matching_line(3)]), clock=ManualClock()
+        )
+        assert stats.written == 1
+        tweets, parse = read_archive(path)
+        assert [tweet.id for tweet in tweets] == [1, 3]
+        assert (parse.total_lines, parse.parsed, parse.skipped_malformed) == (3, 2, 1)
+        assert "partial line" in caplog.text
+
+    def test_intact_tail_gets_no_extra_line(self, tmp_path, caplog):
+        before = matching_line(1).encode() + b"\n"
+        path = self.day_file(tmp_path, before)
+        collect_stream(
+            stream_job(tmp_path), ReplaySource([matching_line(3)]), clock=ManualClock()
+        )
+        assert path.read_bytes() == before + matching_line(3).encode() + b"\n"
+        assert "partial line" not in caplog.text
 
 
 def search_job(tmp_path) -> CollectionJob:

@@ -102,6 +102,13 @@ class TestAggregate:
         assert graph.weighted_degree("n") == 7
         assert graph.weighted_degree("m") == 1
 
+    def test_weighted_degrees_agree_with_weighted_degree(self):
+        graph = aggregate(self.edges() + [InteractionEdge("z", "z", KIND_REPLY, 5)])
+        graph.nodes.add("lonely")
+        degrees = graph.weighted_degrees()
+        assert degrees == {node: graph.weighted_degree(node) for node in graph.nodes}
+        assert degrees == {"x": 4, "y": 4, "z": 2, "lonely": 0}
+
     def test_undirected_adjacency_folds_directions(self):
         graph = aggregate(self.edges())
         adjacency = graph.undirected_adjacency()

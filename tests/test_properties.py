@@ -30,6 +30,7 @@ from eventpulse.graph import (
     KIND_REPLY,
     KIND_RETWEET,
     InteractionEdge,
+    WeightedGraph,
     aggregate,
     export_edges_csv,
     extract_interactions,
@@ -336,6 +337,43 @@ def test_notable_subgraph_is_idempotent_and_shrinking(graph, top_n):
     assert len(once.nodes) <= top_n
     assert once.nodes <= graph.nodes
     assert notable_subgraph(once, top_n) == once
+
+
+case_names = st.text(alphabet="aAkK", min_size=1, max_size=3)
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Graphs with self-loops, isolated nodes, names differing only by
+    case, either kind setting, and edge endpoints missing from nodes."""
+    kinds = st.sampled_from([KIND_RETWEET, KIND_REPLY])
+    triples = draw(st.lists(st.tuples(case_names, case_names, kinds), max_size=40))
+    loops = draw(st.lists(st.tuples(case_names, kinds), max_size=4))
+    triples += [(name, name, kind) for name, kind in loops]
+    graph = graph_from(triples, merge=draw(st.booleans()))
+    graph.nodes |= draw(st.sets(st.text(alphabet="xX", min_size=1, max_size=2)))
+    graph.nodes -= draw(st.sets(case_names, max_size=3))
+    return graph
+
+
+def reference_notable_subgraph(graph, top_n):
+    def degree(node):
+        out_weight = sum(w for (s, _t, _k), w in graph.edges.items() if s == node)
+        in_weight = sum(w for (_s, t, _k), w in graph.edges.items() if t == node)
+        return out_weight + in_weight
+
+    ranked = sorted(graph.nodes, key=lambda node: (-degree(node), node.casefold(), node))
+    keep = set(ranked[:top_n])
+    return WeightedGraph(
+        nodes=keep,
+        edges={k: w for k, w in graph.edges.items() if k[0] in keep and k[1] in keep},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=oracle_graphs(), top_n=st.integers(1, 12))
+def test_notable_subgraph_matches_brute_force_reference(graph, top_n):
+    assert notable_subgraph(graph, top_n) == reference_notable_subgraph(graph, top_n)
 
 
 @settings(max_examples=40, deadline=None)
