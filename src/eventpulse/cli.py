@@ -98,11 +98,6 @@ def _squash(text: str, limit: int = 60) -> str:
     return flat if len(flat) <= limit else flat[: limit - 1] + "…"
 
 
-def _read_tweets(path: str):
-    tweets, stats = read_archive(path, dedupe=True)
-    return tweets, stats
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -114,9 +109,8 @@ def _cmd_collect(args: argparse.Namespace, config: GlobalConfig) -> int:
         archive_dir=config.data_dir,
     )
     credentials = None
-    if args.credentials:  # an explicitly named file must exist and be complete
-        credentials = load_credentials(config.credentials_path)
-    elif config.credentials_path.is_file():
+    # an explicitly named file must exist and be complete
+    if args.credentials or config.credentials_path.is_file():
         credentials = load_credentials(config.credentials_path)
 
     endpoint = args.endpoint
@@ -167,7 +161,7 @@ def _cmd_collect(args: argparse.Namespace, config: GlobalConfig) -> int:
 
 
 def _cmd_histogram(args: argparse.Namespace, config: GlobalConfig) -> int:
-    tweets, _ = _read_tweets(args.archive)
+    tweets, _ = read_archive(args.archive, dedupe=True)
     tz = args.histogram_tz if args.histogram_tz is not None else config.tz_offset_minutes
     buckets = analytics.histogram(tweets, args.granularity, tz)
     analytics.write_histogram_dat(buckets, args.output)
@@ -176,14 +170,14 @@ def _cmd_histogram(args: argparse.Namespace, config: GlobalConfig) -> int:
 
 
 def _cmd_top_tweets(args: argparse.Namespace, config: GlobalConfig) -> int:
-    tweets, _ = _read_tweets(args.file)
+    tweets, _ = read_archive(args.file, dedupe=True)
     entries = analytics.top_tweets_by_retweets(tweets, args.k, args.count_source)
     _emit_ranking(entries, config, user_keys=False)
     return 0
 
 
 def _cmd_top_users(args: argparse.Namespace, config: GlobalConfig) -> int:
-    tweets, _ = _read_tweets(args.file)
+    tweets, _ = read_archive(args.file, dedupe=True)
     if args.by == "activity":
         entries = analytics.top_users_by_activity(tweets, args.k)
     else:
@@ -193,7 +187,7 @@ def _cmd_top_users(args: argparse.Namespace, config: GlobalConfig) -> int:
 
 
 def _cmd_coordinates(args: argparse.Namespace, config: GlobalConfig) -> int:
-    tweets, _ = _read_tweets(args.archive)
+    tweets, _ = read_archive(args.archive, dedupe=True)
     rows = analytics.extract_coordinates(tweets)
     analytics.write_coordinates_csv(rows, args.output)
     print(f"{len(rows)} geotagged tweets -> {args.output}")
@@ -201,7 +195,7 @@ def _cmd_coordinates(args: argparse.Namespace, config: GlobalConfig) -> int:
 
 
 def _cmd_interactions(args: argparse.Namespace, config: GlobalConfig) -> int:
-    tweets, _ = _read_tweets(args.archive)
+    tweets, _ = read_archive(args.archive, dedupe=True)
     edges = graphs.extract_interactions(tweets)
     g = graphs.aggregate(edges, merge_kinds=args.merge_kinds)
     if args.top is not None:
@@ -231,7 +225,7 @@ def _cmd_interactions(args: argparse.Namespace, config: GlobalConfig) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace, config: GlobalConfig) -> int:
-    tweets, stats = _read_tweets(args.archive)
+    tweets, stats = read_archive(args.archive, dedupe=True)
     print(
         f"{len(tweets)} tweets ({stats.total_lines} lines: {stats.parsed} parsed, "
         f"{stats.skipped_malformed} malformed, {stats.duplicates_dropped} duplicate)"

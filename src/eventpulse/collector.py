@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import configparser
 import logging
+import math
 import os
 import queue
 import re
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -191,9 +193,6 @@ class SystemClock:
         else:
             stop.wait(seconds)
 
-    def utcnow(self) -> datetime:
-        return datetime.fromtimestamp(self.now(), tz=timezone.utc)
-
 
 class ManualClock:
     """Deterministic clock for tests and replays.
@@ -222,11 +221,7 @@ class ManualClock:
             self._now += seconds
 
 
-def _clock_date(clock: Clock) -> str:
-    return datetime.fromtimestamp(clock.now(), tz=timezone.utc).strftime("%Y-%m-%d")
-
-
-def _clock_datetime(clock: Clock) -> datetime:
+def _utc(clock: Clock) -> datetime:
     return datetime.fromtimestamp(clock.now(), tz=timezone.utc)
 
 
@@ -286,11 +281,18 @@ def _to_bytes(line: str | bytes) -> bytes:
 class ReplaySource:
     """Replay recorded lines in-process, with scripted disconnects.
 
-    ``disconnect_after`` holds cumulative delivered-line counts; once
-    that many lines went out, the source raises StreamDisconnected. On
-    reconnect it rewinds ``rewind`` lines to mimic streams that
+    This is the one implementation of the replay script; the mock
+    server's ``/stream`` endpoint plays the same script through one.
+    ``disconnect_after`` holds cumulative delivered-line counts: the
+    connection drops (StreamDisconnected) right after the N-th line
+    delivered over all connections. Each reconnect resumes ``rewind``
+    lines back, never before the first line, to mimic streams that
     re-deliver after a drop. Track terms are ignored: filtering is the
     collector's job.
+
+    Attributes:
+        lines: the recorded lines as bytes, without line terminators.
+        delivered: lines handed out so far, over all connections.
     """
 
     def __init__(
@@ -300,11 +302,11 @@ class ReplaySource:
         disconnect_after: Iterable[int] = (),
         rewind: int = 0,
     ):
-        self._lines = [_to_bytes(line) for line in lines]
+        self.lines = [_to_bytes(line) for line in lines]
+        self.delivered = 0
         self._pending = sorted(set(disconnect_after))
         self._rewind = rewind
         self._cursor = 0
-        self._delivered = 0
         self._connected_before = False
 
     @classmethod
@@ -321,14 +323,14 @@ class ReplaySource:
         return self._replay(stop)
 
     def _replay(self, stop: threading.Event | None) -> Iterator[bytes]:
-        while self._cursor < len(self._lines):
+        while self._cursor < len(self.lines):
             if stop is not None and stop.is_set():
                 return
-            line = self._lines[self._cursor]
+            line = self.lines[self._cursor]
             self._cursor += 1
-            self._delivered += 1
+            self.delivered += 1
             yield line
-            if self._pending and self._delivered >= self._pending[0]:
+            if self._pending and self.delivered >= self._pending[0]:
                 self._pending.pop(0)
                 raise StreamDisconnected("scripted disconnect")
 
@@ -444,7 +446,9 @@ class TcpSearchSource:
     Each page is one request/response exchange; the response starts with
     ``OK <n>``, ``RATE_LIMIT <retry-after-seconds>`` or ``END``. A rate
     limit is surfaced as RateLimit(reset_at) computed against the
-    caller's clock, and the same page is requested again afterwards.
+    caller's clock, and the same page is requested again afterwards. A
+    ``RATE_LIMIT`` line without a finite number of seconds raises
+    StreamDisconnected.
     """
 
     def __init__(
@@ -473,7 +477,12 @@ class TcpSearchSource:
             if status == b"END":
                 return
             if status.startswith(b"RATE_LIMIT"):
-                retry_after = float(status.split()[1])
+                try:
+                    retry_after = float(status.split()[1])
+                except (IndexError, ValueError):
+                    retry_after = math.nan
+                if not math.isfinite(retry_after):
+                    raise StreamDisconnected(f"bad rate-limit status line: {status!r}")
                 yield RateLimit(reset_at=self.clock.now() + retry_after)
                 continue  # retry the same page once the caller waited
             yield payload
@@ -510,22 +519,27 @@ class TcpSearchSource:
 
 
 class ArchiveWriter:
-    """Append raw lines to one LF-terminated file per UTC day."""
+    """Append raw lines to one LF-terminated file per UTC day.
+
+    Only the current day's file is open; rotating to a new day closes
+    the previous one. Every line is flushed as it is written.
+    """
 
     def __init__(self, directory: Path, clock: Clock):
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self._clock = clock
-        self._handles: dict[str, BinaryIO] = {}
+        self._day: str | None = None
+        self._handle: BinaryIO | None = None
 
     def append(self, raw: bytes) -> None:
-        day = _clock_date(self._clock)
-        handle = self._handles.get(day)
-        if handle is None:
-            handle = self._open_day(self._directory / f"{day}.jsonl")
-            self._handles[day] = handle
-        handle.write(raw + b"\n")
-        handle.flush()
+        day = _utc(self._clock).strftime("%Y-%m-%d")
+        if day != self._day:
+            self.close()
+            self._handle = self._open_day(self._directory / f"{day}.jsonl")
+            self._day = day
+        self._handle.write(raw + b"\n")
+        self._handle.flush()
 
     @staticmethod
     def _open_day(path: Path) -> BinaryIO:
@@ -549,9 +563,9 @@ class ArchiveWriter:
         return handle
 
     def close(self) -> None:
-        for handle in self._handles.values():
-            handle.close()
-        self._handles.clear()
+        if self._handle is not None:
+            self._handle.close()
+        self._day = self._handle = None
 
 
 # --- collection runs -------------------------------------------------------
@@ -582,6 +596,20 @@ class _LineFilter:
         self._stats.written += 1
 
 
+@contextmanager
+def _run(
+    job: CollectionJob, clock: Clock, stats: CollectionStats
+) -> Iterator[_LineFilter]:
+    """Stamp the run's start and end around one archive writer and filter."""
+    stats.started_at = _utc(clock)
+    writer = ArchiveWriter(job.archive_dir / job.event_name, clock)
+    try:
+        yield _LineFilter(job, writer, stats)
+    finally:
+        writer.close()
+        stats.ended_at = _utc(clock)
+
+
 def collect_stream(
     job: CollectionJob,
     source: StreamSource,
@@ -605,10 +633,6 @@ def collect_stream(
     clock = clock or SystemClock()
     stop = stop if stop is not None else threading.Event()
     stats = stats if stats is not None else CollectionStats()
-    stats.started_at = _clock_datetime(clock)
-
-    writer = ArchiveWriter(job.archive_dir / job.event_name, clock)
-    pipeline = _LineFilter(job, writer, stats)
     handoff: queue.Queue = queue.Queue(maxsize=queue_capacity)
     backoff = ExponentialBackoff()
     reader_error: list[BaseException] = []
@@ -638,10 +662,10 @@ def collect_stream(
                             return
                         if not raw.strip():
                             continue  # keep-alive
-                        if not put(("line", raw)):
+                        if not put(raw):
                             return
                     if not stop.is_set():
-                        put((_END, None))
+                        put(_END)
                     return
                 except StreamDisconnected as exc:
                     if (
@@ -654,35 +678,25 @@ def collect_stream(
                     clock.wait(stop, delay)
         except BaseException as exc:  # pragma: no cover - defensive
             reader_error.append(exc)
-            put((_END, None))
+            put(_END)
 
-    thread = threading.Thread(target=reader, name="eventpulse-reader", daemon=True)
-    thread.start()
-    try:
-        while True:
-            try:
-                kind, payload = handoff.get(timeout=0.05)
-            except queue.Empty:
-                if stop.is_set() or not thread.is_alive():
+    with _run(job, clock, stats) as pipeline:
+        thread = threading.Thread(target=reader, name="eventpulse-reader", daemon=True)
+        thread.start()
+        try:
+            while True:
+                try:
+                    raw = handoff.get(timeout=0.05)
+                except queue.Empty:
+                    if stop.is_set() or not thread.is_alive():
+                        break
+                    continue
+                if raw is _END:
                     break
-                continue
-            if kind is _END:
-                break
-            pipeline.handle(payload)
-        # drain whatever the reader already handed over
-        while True:
-            try:
-                kind, payload = handoff.get_nowait()
-            except queue.Empty:
-                break
-            if kind is _END:
-                break
-            pipeline.handle(payload)
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-        writer.close()
-        stats.ended_at = _clock_datetime(clock)
+                pipeline.handle(raw)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
     if reader_error:
         raise reader_error[0]
     return stats
@@ -707,12 +721,8 @@ def collect_search(
         raise ValueError(f"collect_search needs a search mode, got {job.mode!r}")
     clock = clock or SystemClock()
     stats = stats if stats is not None else CollectionStats()
-    stats.started_at = _clock_datetime(clock)
-
-    writer = ArchiveWriter(job.archive_dir / job.event_name, clock)
-    pipeline = _LineFilter(job, writer, stats)
     pages_taken = 0
-    try:
+    with _run(job, clock, stats) as pipeline:
         for item in source.pages(job.track_terms):
             if stop is not None and stop.is_set():
                 break
@@ -727,7 +737,4 @@ def collect_search(
             pages_taken += 1
             if max_pages is not None and pages_taken >= max_pages:
                 break
-    finally:
-        writer.close()
-        stats.ended_at = _clock_datetime(clock)
     return stats

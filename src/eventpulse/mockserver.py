@@ -5,15 +5,17 @@ Wire protocol (newline-delimited, UTF-8):
 * Streaming: the client sends a GET-style request whose query string
   contains ``track=<comma-separated terms>``; the server then streams
   one record per line, possibly interleaved with blank keep-alive
-  lines, and may close the connection at any point. Scripted
-  disconnects close after a cumulative number of delivered lines; a
-  reconnect resumes from the cursor, optionally rewound a few lines to
-  mimic re-delivery.
+  lines, and may close the connection at any point. The stream follows
+  the same script as ``collector.ReplaySource``, which serves it: the
+  connection drops right after the N-th line delivered over all
+  connections, and a reconnect resumes ``rewind`` lines back to mimic
+  re-delivery.
 
 * Search: a request for path ``/search`` with ``page=N`` returns one
   page. The first response line is ``OK <n>`` followed by n records,
   ``RATE_LIMIT <retry-after-seconds>``, or ``END`` once the corpus is
-  exhausted. Each page is one connection.
+  exhausted; a ``page`` that is not an integer gets ``ERROR <reason>``.
+  Each page is one connection.
 
 Track terms are parsed but deliberately not used for filtering: the
 collector re-checks every line itself, so the replay server stays a
@@ -24,21 +26,21 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from typing import Iterable
 from urllib.parse import parse_qs, unquote, urlsplit
+
+from .collector import ReplaySource, StreamDisconnected
 
 __all__ = ["MockStreamServer"]
 
 
-def _to_bytes(line: str | bytes) -> bytes:
-    if isinstance(line, str):
-        line = line.encode("utf-8")
-    return line.rstrip(b"\r\n")
-
-
 class MockStreamServer:
     """Scriptable replay server; see the module docstring for the protocol.
+
+    ``/stream`` plays one ReplaySource built from ``lines``,
+    ``disconnect_after`` and ``rewind_on_reconnect``; a blank keep-alive
+    follows every ``keepalive_every``-th line delivered over all
+    connections. Connections are served one at a time.
 
     Attributes:
         exhausted: set once every line went out at least once (stream mode).
@@ -52,26 +54,20 @@ class MockStreamServer:
         disconnect_after: Iterable[int] = (),
         rewind_on_reconnect: int = 0,
         keepalive_every: int = 0,
-        line_delay: float = 0.0,
         page_size: int = 100,
         rate_limit_pages: Iterable[int] = (),
         rate_limit_retry_after: float = 2.0,
         host: str = "127.0.0.1",
     ):
-        self._lines = [_to_bytes(line) for line in lines]
-        self._disconnects = sorted(set(disconnect_after))
-        self._rewind = rewind_on_reconnect
+        self._replay = ReplaySource(
+            lines, disconnect_after=disconnect_after, rewind=rewind_on_reconnect
+        )
         self._keepalive_every = keepalive_every
-        self._line_delay = line_delay
         self._page_size = page_size
         self._rate_limit_pages = set(rate_limit_pages)
         self._rate_limit_retry_after = rate_limit_retry_after
         self._host = host
 
-        self._lock = threading.Lock()
-        self._cursor = 0
-        self._delivered = 0
-        self._streamed_before = False
         self._rate_limited_served: set[int] = set()
         self._stop = threading.Event()
         self._sock: socket.socket | None = None
@@ -148,26 +144,14 @@ class MockStreamServer:
             self._serve_stream(conn)
 
     def _serve_stream(self, conn: socket.socket) -> None:
-        with self._lock:
-            if self._streamed_before:
-                self._cursor = max(0, self._cursor - self._rewind)
-            self._streamed_before = True
-        while not self._stop.is_set():
-            with self._lock:
-                if self._cursor >= len(self._lines):
-                    break
-                line = self._lines[self._cursor]
-                self._cursor += 1
-                self._delivered += 1
-                delivered = self._delivered
-            conn.sendall(line + b"\n")
-            if self._keepalive_every and delivered % self._keepalive_every == 0:
-                conn.sendall(b"\n")
-            if self._line_delay:
-                time.sleep(self._line_delay)
-            if self._disconnects and delivered >= self._disconnects[0]:
-                self._disconnects.pop(0)
-                return  # scripted mid-stream drop
+        replay, every = self._replay, self._keepalive_every
+        try:
+            for line in replay.connect((), self._stop):
+                conn.sendall(line + b"\n")
+                if every and replay.delivered % every == 0:
+                    conn.sendall(b"\n")
+        except StreamDisconnected:
+            return  # scripted mid-stream drop
         self.exhausted.set()
         # a real stream idles between posts; hold the connection open
         # until the client hangs up or the server stops
@@ -182,13 +166,17 @@ class MockStreamServer:
                 return
 
     def _serve_search(self, conn: socket.socket, params: dict) -> None:
-        page = int(params.get("page", ["0"])[0])
+        try:
+            page = int(params.get("page", ["0"])[0])
+        except ValueError:
+            conn.sendall(b"ERROR page must be an integer\n")
+            return
         if page in self._rate_limit_pages and page not in self._rate_limited_served:
             self._rate_limited_served.add(page)
             conn.sendall(f"RATE_LIMIT {self._rate_limit_retry_after}\n".encode())
             return
         start = page * self._page_size
-        chunk = self._lines[start : start + self._page_size]
+        chunk = self._replay.lines[start : start + self._page_size]
         if not chunk:
             conn.sendall(b"END\n")
             return

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_tweet, record_line, write_archive
 from eventpulse.collector import (
+    ArchiveWriter,
     CollectionJob,
     CollectionStats,
     ConfigError,
@@ -385,6 +386,32 @@ class TestArchiveTail:
         assert "partial line" not in caplog.text
 
 
+class TestArchiveDays:
+    def test_rotation_closes_the_previous_day(self, tmp_path, monkeypatch):
+        opened = []
+        open_day = ArchiveWriter._open_day
+
+        def recording_open_day(path):
+            opened.append(open_day(path))
+            return opened[-1]
+
+        monkeypatch.setattr(ArchiveWriter, "_open_day", staticmethod(recording_open_day))
+        clock = ManualClock()
+        writer = ArchiveWriter(tmp_path / "proba", clock)
+        to_midnight = 86_400 - clock.now() % 86_400
+        writer.append(b"first")
+        clock.advance(to_midnight - 1)
+        writer.append(b"last of the day")
+        clock.advance(1)
+        writer.append(b"next day")
+        assert len(opened) == 2
+        assert opened[0].closed and not opened[1].closed
+        writer.close()
+        assert opened[1].closed
+        assert archive_bytes(tmp_path) == b"first\nlast of the day\n"
+        assert archive_bytes(tmp_path, day="2001-09-10") == b"next day\n"
+
+
 def search_job(tmp_path) -> CollectionJob:
     return CollectionJob("search-recent", "proba", ("#PeakTime",), tmp_path)
 
@@ -506,6 +533,28 @@ class TestTcpTransport:
         assert any("kind=recent" in request for request in server.requests)
         assert any("page=2" in request for request in server.requests)
 
+    @pytest.mark.parametrize(
+        "status", [b"RATE_LIMIT", b"RATE_LIMIT soon", b"RATE_LIMIT nan"]
+    )
+    def test_rate_limit_without_seconds_is_a_disconnect(self, status):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(status + b"\n")
+
+        server = threading.Thread(target=answer_once, daemon=True)
+        server.start()
+        with listener:
+            source = TcpSearchSource(*listener.getsockname(), clock=ManualClock())
+            with pytest.raises(StreamDisconnected, match="RATE_LIMIT"):
+                next(source.pages(("x",)))
+            server.join(timeout=5)
+        assert not server.is_alive()
+
     def test_connect_refused_surfaces_as_disconnect(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -514,3 +563,76 @@ class TestTcpTransport:
         source = TcpStreamSource("127.0.0.1", port, connect_timeout=0.5)
         with pytest.raises(StreamDisconnected):
             source.connect(("x",))
+
+
+def _open_stream(host: str, port: int) -> socket.socket:
+    sock = socket.create_connection((host, port), timeout=5)
+    sock.sendall(b"GET /stream?track=x HTTP/1.0\r\n\r\n")
+    return sock
+
+
+def _read_to_close(sock: socket.socket) -> bytes:
+    blob = b""
+    with sock:
+        while chunk := sock.recv(65536):
+            blob += chunk
+    return blob
+
+
+class TestMockServerScript:
+    """The server's /stream carries exactly what ReplaySource scripts."""
+
+    LINES = [f"line{i}" for i in range(1, 9)]
+
+    @pytest.mark.parametrize(
+        "cuts, rewind, connections",
+        [
+            ([2, 5], 1, [[1, 2], [2, 3, 4], [4, 5, 6, 7, 8]]),
+            ([0], 0, [[1], [2, 3, 4, 5, 6, 7, 8]]),  # a cut at 0 drops after line 1
+            ([2], 10, [[1, 2], [1, 2, 3, 4, 5, 6, 7, 8]]),  # rewind stops at line 1
+        ],
+    )
+    def test_stream_matches_replay_source(self, cuts, rewind, connections):
+        replay = ReplaySource(self.LINES, disconnect_after=cuts, rewind=rewind)
+        scripted = []
+        for _ in connections:
+            scripted.append([])
+            try:
+                scripted[-1].extend(replay.connect(("x",)))
+            except StreamDisconnected:
+                pass
+        assert scripted == [[f"line{i}".encode() for i in ids] for ids in connections]
+
+        every = 3
+        expected, delivered = [], 0
+        for lines in scripted:
+            wire = b""
+            for line in lines:
+                delivered += 1
+                wire += line + b"\n" + (b"\n" if delivered % every == 0 else b"")
+            expected.append(wire)
+
+        server = MockStreamServer(
+            self.LINES,
+            disconnect_after=cuts,
+            rewind_on_reconnect=rewind,
+            keepalive_every=every,
+        )
+        with server as (host, port):
+            wires = [_read_to_close(_open_stream(host, port)) for _ in cuts]
+            last = _open_stream(host, port)
+            assert server.exhausted.wait(timeout=5)
+            server.stop()  # the last connection idles until the server stops
+            wires.append(_read_to_close(last))
+        assert wires == expected
+
+    def test_bad_search_page_leaves_the_server_serving(self):
+        server = MockStreamServer(self.LINES, page_size=3)
+        with server as (host, port):
+            for target, answer in [
+                ("/search?page=zz", b"ERROR page must be an integer\n"),
+                ("/search?page=1", b"OK 3\nline4\nline5\nline6\n"),
+            ]:
+                sock = socket.create_connection((host, port), timeout=5)
+                sock.sendall(f"GET {target} HTTP/1.0\r\n\r\n".encode())
+                assert _read_to_close(sock) == answer
