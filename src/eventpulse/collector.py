@@ -447,7 +447,8 @@ class TcpSearchSource:
     ``OK <n>``, ``RATE_LIMIT <retry-after-seconds>`` or ``END``. A rate
     limit is surfaced as RateLimit(reset_at) computed against the
     caller's clock, and the same page is requested again afterwards. A
-    ``RATE_LIMIT`` line without a finite number of seconds raises
+    ``RATE_LIMIT`` line without a finite number of seconds, and any
+    other status line (``ERROR <reason>`` included), raises
     StreamDisconnected.
     """
 
@@ -485,6 +486,9 @@ class TcpSearchSource:
                     raise StreamDisconnected(f"bad rate-limit status line: {status!r}")
                 yield RateLimit(reset_at=self.clock.now() + retry_after)
                 continue  # retry the same page once the caller waited
+            fields = status.split()
+            if len(fields) != 2 or fields[0] != b"OK" or not fields[1].isdigit():
+                raise StreamDisconnected(f"unexpected search status line: {status!r}")
             yield payload
             page += 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +34,19 @@ __all__ = [
 MAX_ID = 2**64 - 1
 
 _CLASSIC_FORMAT = "%a %b %d %H:%M:%S %z %Y"
+_MONTHS = {
+    name: number
+    for number, name in enumerate(
+        "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), start=1
+    )
+}
+# The exact 30-character spelling of _CLASSIC_FORMAT: names in the
+# platform's case, zero-padded ASCII fields, offset minutes 00-59.
+_CLASSIC_LAYOUT = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (" + "|".join(_MONTHS) + ") "
+    r"(\d\d) (\d\d):(\d\d):(\d\d) ([+-])(\d\d)([0-5]\d) (\d{4})",
+    re.ASCII,
+)
 _HASHTAG = re.compile(r"#(\w+)")
 
 
@@ -112,11 +125,49 @@ class ParseStats:
     duplicates_dropped: int = 0
 
 
+def _classic_stamp(value: str) -> datetime | None:
+    """The aware datetime of an exact classic stamp, or None to fall back."""
+    match = _CLASSIC_LAYOUT.fullmatch(value)
+    if match is None:
+        return None
+    month, day, hour, minute, second, sign, off_hours, off_minutes, year = (
+        match.groups()
+    )
+    offset = int(off_hours) * 60 + int(off_minutes)
+    try:
+        tz = (
+            timezone.utc
+            if offset == 0
+            else timezone(timedelta(minutes=-offset if sign == "-" else offset))
+        )
+        return datetime(
+            int(year), _MONTHS[month], int(day),
+            int(hour), int(minute), int(second), tzinfo=tz,
+        )
+    except ValueError:  # Feb 30, second 60, offset of 24 h or more, year 0
+        return None
+
+
 def _parse_timestamp(value: object) -> datetime:
+    """Parse ``created_at`` into an aware UTC datetime, second precision.
+
+    Accepted: the classic layout ``%a %b %d %H:%M:%S %z %Y`` as
+    ``datetime.strptime`` reads it, else anything
+    ``datetime.fromisoformat`` reads (a trailing ``Z`` means UTC, a
+    stamp without an offset is taken as UTC). The exact 30-character
+    spelling ``Thu Mar 19 10:05:00 +0000 2015`` (names in that case,
+    zero-padded ASCII digits, offset minutes 00-59) is decoded by
+    fixed layout without ``strptime``; every other spelling takes the
+    ``strptime`` -> ``fromisoformat`` path, and both paths give the same
+    datetime or the same error. As in ``strptime``, the weekday is not
+    checked against the date. Raises ParseError("created_at") for a
+    non-string, a blank or unparseable string, or a stamp whose UTC
+    time falls outside years 1-9999.
+    """
     if not isinstance(value, str) or not value.strip():
         raise ParseError("created_at", f"expected a timestamp string, got {value!r}")
     try:
-        stamp = datetime.strptime(value, _CLASSIC_FORMAT)
+        stamp = _classic_stamp(value) or datetime.strptime(value, _CLASSIC_FORMAT)
     except ValueError:
         iso = value[:-1] + "+00:00" if value.endswith("Z") else value
         try:
@@ -125,7 +176,10 @@ def _parse_timestamp(value: object) -> datetime:
             raise ParseError("created_at", f"unparseable timestamp: {value!r}") from None
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return stamp.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError:
+        raise ParseError("created_at", f"timestamp out of range: {value!r}") from None
 
 
 def _parse_id(value: object, field_name: str) -> int:

@@ -1,6 +1,9 @@
+import re
 import socket
 import threading
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import pytest
 
@@ -250,6 +253,18 @@ class TestCollectStream:
         assert clock.waits == [1.0, 2.0]
         expected = b"".join(line.encode() + b"\n" for line in matching)
         assert archive_bytes(tmp_path) == expected
+
+    def test_out_of_range_stamp_does_not_stop_the_run(self, tmp_path):
+        # converting this stamp to UTC lands before year 1
+        bad = record_line(
+            id=1, text="#peaktime", created_at="Mon Jan 01 00:00:00 +0100 0001"
+        )
+        good = matching_line(2)
+        stats = collect_stream(
+            stream_job(tmp_path), ReplaySource([bad, good]), clock=ManualClock()
+        )
+        assert (stats.received, stats.matched, stats.written) == (2, 1, 1)
+        assert archive_bytes(tmp_path) == good.encode() + b"\n"
 
     def test_healthy_connection_resets_backoff(self, tmp_path):
         clock = ManualClock()
@@ -537,23 +552,21 @@ class TestTcpTransport:
         "status", [b"RATE_LIMIT", b"RATE_LIMIT soon", b"RATE_LIMIT nan"]
     )
     def test_rate_limit_without_seconds_is_a_disconnect(self, status):
-        listener = socket.create_server(("127.0.0.1", 0))
-        listener.settimeout(5)
-
-        def answer_once():
-            conn, _ = listener.accept()
-            with conn:
-                conn.recv(4096)
-                conn.sendall(status + b"\n")
-
-        server = threading.Thread(target=answer_once, daemon=True)
-        server.start()
-        with listener:
-            source = TcpSearchSource(*listener.getsockname(), clock=ManualClock())
+        with _answer_once(status + b"\n") as address:
+            source = TcpSearchSource(*address, clock=ManualClock())
             with pytest.raises(StreamDisconnected, match="RATE_LIMIT"):
                 next(source.pages(("x",)))
-            server.join(timeout=5)
-        assert not server.is_alive()
+
+    @pytest.mark.parametrize(
+        "status",
+        [b"ERROR page must be an integer", b"HTTP/1.0 200 OK", b"OK", b"OK many"],
+    )
+    def test_status_other_than_ok_is_a_disconnect(self, status):
+        # one next() bounds the loop: the old client took any line as a page
+        with _answer_once(status + b"\n") as address:
+            source = TcpSearchSource(*address, clock=ManualClock())
+            with pytest.raises(StreamDisconnected, match=re.escape(repr(status))):
+                next(source.pages(("x",)))
 
     def test_connect_refused_surfaces_as_disconnect(self):
         probe = socket.socket()
@@ -563,6 +576,26 @@ class TestTcpTransport:
         source = TcpStreamSource("127.0.0.1", port, connect_timeout=0.5)
         with pytest.raises(StreamDisconnected):
             source.connect(("x",))
+
+
+@contextmanager
+def _answer_once(response: bytes) -> Iterator[tuple[str, int]]:
+    """A server that answers one request with ``response``, then stops."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def answer():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(4096)
+            conn.sendall(response)
+
+    server = threading.Thread(target=answer, daemon=True)
+    server.start()
+    with listener:
+        yield listener.getsockname()
+        server.join(timeout=5)
+    assert not server.is_alive()
 
 
 def _open_stream(host: str, port: int) -> socket.socket:

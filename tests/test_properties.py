@@ -1,10 +1,12 @@
 """Property-based checks of the documented invariants."""
 
+import calendar
 import random
 import tempfile
-from datetime import timedelta
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +40,7 @@ from eventpulse.graph import (
     label_propagation,
     notable_subgraph,
 )
-from eventpulse.tweets import parse_tweet, read_archive
+from eventpulse.tweets import ParseError, _parse_timestamp, parse_tweet, read_archive
 
 corpora = st.builds(
     lambda seed, size: random_corpus(random.Random(seed), size),
@@ -221,6 +223,105 @@ def test_read_archive_accounting(seed, flags):
     )
     assert len(tweets) == stats.parsed
     assert len({t.id for t in tweets}) == len(tweets)
+
+
+# --- timestamps --------------------------------------------------------------
+
+WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
+
+def reference_parse_timestamp(value: str) -> datetime | None:
+    """The strptime -> fromisoformat chain alone; None where it must fail."""
+    try:
+        stamp = datetime.strptime(value, "%a %b %d %H:%M:%S %z %Y")
+    except ValueError:
+        iso = value[:-1] + "+00:00" if value.endswith("Z") else value
+        try:
+            stamp = datetime.fromisoformat(iso)
+        except ValueError:
+            return None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    try:
+        return stamp.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError:  # the UTC instant is outside years 1-9999
+        return None
+
+
+@st.composite
+def classic_fields(draw):
+    """Fields of a classic stamp; the weekday is drawn apart from the date."""
+    day = draw(st.dates(min_value=date(1, 1, 1)))
+    moment = draw(st.times())
+    sign = draw(st.sampled_from("+-"))
+    return {
+        "weekday": draw(st.sampled_from(WEEKDAYS)),
+        "month": MONTHS[day.month - 1],
+        "day": f"{day.day:02d}",
+        "time": f"{moment.hour:02d}:{moment.minute:02d}:{moment.second:02d}",
+        "offset": f"{sign}{draw(st.integers(0, 23)):02d}{draw(st.integers(0, 59)):02d}",
+        "year": f"{day.year:04d}",
+    }
+
+
+def classic(fields) -> str:
+    return "{weekday} {month} {day} {time} {offset} {year}".format(**fields)
+
+
+@st.composite
+def near_miss_stamps(draw):
+    fields = draw(classic_fields())
+    kind = draw(
+        st.sampled_from(
+            ["case", "padded day", "unicode digit", "offset minutes",
+             "offset hours", "feb 29", "leap second", "length"]
+        )
+    )
+    if kind == "case":
+        name = draw(st.sampled_from(["weekday", "month"]))
+        fields[name] = draw(st.sampled_from([str.lower, str.upper]))(fields[name])
+    elif kind == "padded day":
+        fields["day"] = f" {draw(st.integers(1, 9))}"
+    elif kind == "offset minutes":
+        fields["offset"] = fields["offset"][:3] + str(draw(st.integers(60, 99)))
+    elif kind == "offset hours":
+        hours = draw(st.integers(24, 99))
+        fields["offset"] = f"{fields['offset'][0]}{hours}{fields['offset'][3:]}"
+    elif kind == "feb 29":
+        year = draw(st.integers(1, 9999).filter(lambda y: not calendar.isleap(y)))
+        fields.update(month="Feb", day="29", year=f"{year:04d}")
+    elif kind == "leap second":
+        fields["time"] = fields["time"][:6] + draw(st.sampled_from(["60", "61"]))
+    stamp = classic(fields)
+    if kind == "unicode digit":
+        at = draw(st.sampled_from([i for i, c in enumerate(stamp) if c.isdigit()]))
+        # Arabic-Indic and fullwidth digits: strptime reads them, the fast path must not
+        digit = draw(st.sampled_from("\u0661\u0669\uff10\uff19"))
+        stamp = stamp[:at] + digit + stamp[at + 1:]
+    elif kind == "length":
+        at = draw(st.integers(0, len(stamp) - 1))
+        if draw(st.booleans()):
+            stamp = stamp[:at] + stamp[at + 1:]
+        else:
+            stamp = stamp[:at] + draw(st.sampled_from(" 0")) + stamp[at:]
+    return stamp
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(classic_fields().map(classic), near_miss_stamps()))
+def test_timestamp_fast_path_matches_strptime_chain(stamp):
+    expected = reference_parse_timestamp(stamp)
+    if expected is None:
+        with pytest.raises(ParseError):
+            _parse_timestamp(stamp)
+        return
+    parsed = _parse_timestamp(stamp)
+    assert parsed == expected
+    assert parsed.tzinfo is timezone.utc and parsed.microsecond == 0
 
 
 # --- track matching -----------------------------------------------------------

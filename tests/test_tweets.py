@@ -244,6 +244,20 @@ class TestReadArchive:
         assert stats.skipped_malformed == 3  # blank line counts as malformed
         assert stats.duplicates_dropped == 0
 
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "Mon Jan 01 00:00:00 +0100 0001",
+            "Fri Dec 31 23:59:59 -0100 9999",
+            "0001-01-01T00:00:00+01:00",
+        ],
+    )
+    def test_stamp_outside_utc_range_is_malformed(self, tmp_path, stamp):
+        lines = [record_line(id=1, created_at=stamp), record_line(id=2)]
+        tweets, stats = read_archive(write_archive(tmp_path / "a.jsonl", lines))
+        assert [t.id for t in tweets] == [2]
+        assert (stats.parsed, stats.skipped_malformed) == (1, 1)
+
     def test_dedupe_keeps_first(self, tmp_path):
         lines = [
             record_line(id=1, text="lehena"),
