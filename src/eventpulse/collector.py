@@ -28,7 +28,14 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import quote
 
-from .tweets import ParseError, Tweet, parse_tweet
+from .tweets import (
+    ParseError,
+    Tweet,
+    _build_tweet,
+    _decode_record,
+    _text_and_hashtags,
+    parse_tweet,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
+)
 
 __all__ = [
     "CollectionJob",
@@ -108,11 +115,25 @@ class CollectionJob:
 
 @dataclass
 class CollectionStats:
-    """Counters for one run; written <= matched <= received always holds."""
+    """Counters for one run.
+
+    Every received line lands in exactly one of four counters, so
+    ``received = malformed + unmatched + duplicate + written`` and
+    ``matched = duplicate + written`` always hold. A line is matched on
+    its decoded text and hashtags before it is validated, so
+    ``malformed`` counts lines that are not a JSON object in UTF-8 and
+    matching lines that fail validation; a line that does not match is
+    never validated and counts as ``unmatched`` even when it is invalid.
+    ``duplicate`` counts valid matching lines whose id this run has
+    already written.
+    """
 
     received: int = 0
     matched: int = 0
     written: int = 0
+    malformed: int = 0
+    unmatched: int = 0
+    duplicate: int = 0
     reconnects: int = 0
     rate_limit_waits: int = 0
     started_at: datetime | None = None
@@ -153,21 +174,27 @@ def matches_track(tweet: Tweet, track_terms: Sequence[str]) -> bool:
     so "#Korrika" and "korrika" select the same posts. Substring hits do
     not count: "korrika" never matches "korrikalaria".
     """
-    tokens: set[str] | None = None
-    tags = {tag.casefold() for tag in tweet.hashtags}
-    for term in track_terms:
-        if term.startswith("#"):
-            term = term[1:]
-        term = term.casefold()
-        if not term:
-            continue
-        if term in tags:
-            return True
-        if tokens is None:
-            tokens = {match.casefold() for match in _TOKEN.findall(tweet.text)}
-        if term in tokens:
-            return True
-    return False
+    return _matches(_fold_terms(track_terms), tweet.hashtags, tweet.text)
+
+
+def _fold_terms(track_terms: Iterable[str]) -> frozenset[str]:
+    """Track terms as matched: one leading "#" stripped, case folded, none empty."""
+    folded = (
+        (term[1:] if term.startswith("#") else term).casefold() for term in track_terms
+    )
+    return frozenset(term for term in folded if term)
+
+
+def _matches(terms: frozenset[str], hashtags: Iterable[str], text: str) -> bool:
+    """True when a folded term equals a folded hashtag or a folded token of text."""
+    if any(tag.casefold() in terms for tag in hashtags):
+        return True
+    # casefold maps each character on its own, so every token's fold is a
+    # substring of the text's fold: a text without any term has no hit
+    folded = text.casefold()
+    if not any(term in folded for term in terms):
+        return False
+    return any(token.casefold() in terms for token in _TOKEN.findall(text))
 
 
 # --- clocks ---------------------------------------------------------------
@@ -417,7 +444,7 @@ class TcpStreamSource:
     def _read_lines(
         sock: socket.socket, stop: threading.Event | None
     ) -> Iterator[bytes]:
-        buffer = b""
+        tail = b""  # the unterminated end of the data received so far
         try:
             while True:
                 if stop is not None and stop.is_set():
@@ -430,9 +457,10 @@ class TcpStreamSource:
                     raise StreamDisconnected(f"read failed: {exc}") from exc
                 if chunk == b"":
                     raise StreamDisconnected("connection closed by peer")
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
+                # one split per chunk; splitting off one line at a time
+                # would copy the rest of the buffer once per line
+                *lines, tail = (tail + chunk).split(b"\n")
+                for line in lines:
                     line = line.rstrip(b"\r")
                     if line:
                         yield line
@@ -444,11 +472,12 @@ class TcpSearchSource:
     """Client for the paged search protocol of the mock server.
 
     Each page is one request/response exchange; the response starts with
-    ``OK <n>``, ``RATE_LIMIT <retry-after-seconds>`` or ``END``. A rate
-    limit is surfaced as RateLimit(reset_at) computed against the
-    caller's clock, and the same page is requested again afterwards. A
+    ``OK <n>`` (then n record lines), ``RATE_LIMIT <retry-after-seconds>``
+    or ``END``. A rate limit is surfaced as RateLimit(reset_at) computed
+    against the caller's clock, and the same page is requested again
+    afterwards. A page whose record count differs from n, a
     ``RATE_LIMIT`` line without a finite number of seconds, and any
-    other status line (``ERROR <reason>`` included), raises
+    other status line (``ERROR <reason>`` included) raise
     StreamDisconnected.
     """
 
@@ -489,6 +518,10 @@ class TcpSearchSource:
             fields = status.split()
             if len(fields) != 2 or fields[0] != b"OK" or not fields[1].isdigit():
                 raise StreamDisconnected(f"unexpected search status line: {status!r}")
+            if int(fields[1]) != len(payload):
+                raise StreamDisconnected(
+                    f"search page announced {int(fields[1])} records, got {len(payload)}"
+                )
             yield payload
             page += 1
 
@@ -576,28 +609,42 @@ class ArchiveWriter:
 
 
 class _LineFilter:
-    """Shared per-run pipeline: parse, match, dedupe, append."""
+    """Shared per-run pipeline: decode, match, validate, dedupe, append.
+
+    Each line is decoded once; only a line that matches is validated into
+    a Tweet, and only a valid one counts as matched or is written.
+    """
 
     def __init__(self, job: CollectionJob, writer: ArchiveWriter, stats: CollectionStats):
-        self._job = job
+        self._terms = _fold_terms(job.track_terms)
         self._writer = writer
         self._stats = stats
         self._seen: set[int] = set()
 
     def handle(self, raw: bytes) -> None:
-        self._stats.received += 1
+        stats = self._stats
+        stats.received += 1
         try:
-            tweet = parse_tweet(raw)
+            record = _decode_record(raw)
         except ParseError:
-            return  # counted as received, never written
-        if not matches_track(tweet, self._job.track_terms):
+            stats.malformed += 1
             return
-        self._stats.matched += 1
+        text, hashtags = _text_and_hashtags(record)
+        if not _matches(self._terms, hashtags, text):
+            stats.unmatched += 1
+            return
+        try:
+            tweet = _build_tweet(record)
+        except ParseError:
+            stats.malformed += 1
+            return
+        stats.matched += 1
         if tweet.id in self._seen:
+            stats.duplicate += 1
             return  # streams re-deliver after reconnects
         self._seen.add(tweet.id)
         self._writer.append(raw)
-        self._stats.written += 1
+        stats.written += 1
 
 
 @contextmanager

@@ -12,7 +12,8 @@ Wire protocol (newline-delimited, UTF-8):
   re-delivery.
 
 * Search: a request for path ``/search`` with ``page=N`` returns one
-  page. The first response line is ``OK <n>`` followed by n records,
+  page of ``page_size`` lines. The first response line is ``OK <n>``
+  followed by the page's n non-blank lines as records,
   ``RATE_LIMIT <retry-after-seconds>``, or ``END`` once the corpus is
   exhausted; a ``page`` that is not an integer gets ``ERROR <reason>``.
   Each page is one connection.
@@ -180,5 +181,6 @@ class MockStreamServer:
         if not chunk:
             conn.sendall(b"END\n")
             return
-        payload = b"".join(line + b"\n" for line in chunk)
-        conn.sendall(b"OK %d\n" % len(chunk) + payload)
+        records = [line for line in chunk if line]  # a blank line is no record
+        payload = b"".join(line + b"\n" for line in records)
+        conn.sendall(b"OK %d\n" % len(records) + payload)

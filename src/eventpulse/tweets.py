@@ -267,12 +267,12 @@ def _parse_retweet(record: dict, tweet_id: int) -> tuple[RetweetRef | None, int 
     return RetweetRef(original_id, original_author), counter
 
 
-def parse_tweet(line: str | bytes) -> Tweet:
-    """Parse one raw archive line into a Tweet.
+def _decode_record(line: str | bytes) -> dict:
+    """Decode one raw line into its JSON object.
 
-    Raises ParseError naming the offending field for malformed syntax,
-    a missing id / created_at / author, or an unparseable timestamp.
-    The input line itself is never modified.
+    Raises ParseError("line") for invalid UTF-8, invalid JSON, nesting
+    deeper than the decoder's recursion limit, an integer longer than
+    the interpreter's digit limit, or a value that is not an object.
     """
     if isinstance(line, (bytes, bytearray)):
         try:
@@ -283,15 +283,33 @@ def parse_tweet(line: str | bytes) -> Tweet:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError("line", f"not valid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ParseError("line", "JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise ParseError("line", f"not valid JSON ({exc})") from exc
     if not isinstance(record, dict):
         raise ParseError("line", "record is not a JSON object")
+    return record
 
-    tweet_id = _parse_id(record.get("id"), "id")
-    created_at = _parse_timestamp(record.get("created_at"))
-    author = _parse_screen_name(record.get("user"), "user.screen_name")
+
+def _text_and_hashtags(record: dict) -> tuple[str, tuple[str, ...]]:
+    """The record's text ("" when absent) and its lowercase hashtags."""
     text = record.get("text")
     if not isinstance(text, str):
         text = ""
+    return text, _parse_hashtags(record, text)
+
+
+def _build_tweet(record: dict) -> Tweet:
+    """Validate a decoded record and build its Tweet.
+
+    Raises ParseError naming the offending field for a missing id /
+    created_at / author, an unparseable timestamp or a bad retweet.
+    """
+    tweet_id = _parse_id(record.get("id"), "id")
+    created_at = _parse_timestamp(record.get("created_at"))
+    author = _parse_screen_name(record.get("user"), "user.screen_name")
+    text, hashtags = _text_and_hashtags(record)
 
     retweet_of, retweet_count = _parse_retweet(record, tweet_id)
     if retweet_of is None:
@@ -314,12 +332,22 @@ def parse_tweet(line: str | bytes) -> Tweet:
         created_at=created_at,
         author=author,
         text=text,
-        hashtags=_parse_hashtags(record, text),
+        hashtags=hashtags,
         retweet_of=retweet_of,
         reply_to=reply_to,
         coords=_parse_coords(record),
         retweet_count=retweet_count,
     )
+
+
+def parse_tweet(line: str | bytes) -> Tweet:
+    """Parse one raw archive line into a Tweet.
+
+    Raises ParseError naming the offending field for malformed syntax,
+    a missing id / created_at / author, or an unparseable timestamp.
+    The input line itself is never modified.
+    """
+    return _build_tweet(_decode_record(line))
 
 
 def read_archive(

@@ -17,6 +17,14 @@ BASE_TIME = datetime(2015, 3, 19, 18, 0, 0, tzinfo=timezone.utc)
 
 GEXF_NS = "http://www.gexf.net/1.2draft"
 
+# Lines on which json.loads raises something other than JSONDecodeError:
+# RecursionError for deep nesting, and a plain ValueError for an integer
+# longer than the interpreter's default digit limit (4300 digits).
+HOSTILE_LINES = {
+    "nested too deep": "[" * 100_000,
+    "id past the int digit limit": '{"id": ' + "1" * 5000 + ', "text": "#peaktime"}',
+}
+
 
 def classic_stamp(moment: datetime) -> str:
     """Render the classic platform timestamp, e.g. 'Thu Mar 19 18:00:00 +0000 2015'."""

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import make_tweet, record_line, write_archive
+from conftest import HOSTILE_LINES, make_tweet, record_line, write_archive
 from eventpulse.collector import (
     ArchiveWriter,
     CollectionJob,
@@ -61,6 +61,30 @@ def stream_job(tmp_path, terms=("#PeakTime",)) -> CollectionJob:
 
 def archive_bytes(tmp_path, event="proba", day=MANUAL_CLOCK_DAY) -> bytes:
     return (tmp_path / event / f"{day}.jsonl").read_bytes()
+
+
+# one line per outcome of the filter, for the '#PeakTime' jobs
+MIXED_LINES = [
+    matching_line(1),  # written
+    matching_line(1),  # duplicate
+    other_line(2),  # unmatched
+    record_line(id=3, text="ezer", created_at="nope"),  # unmatched: never validated
+    record_line(id=4, text="#peaktime", created_at="nope"),  # malformed
+    "{broken",  # malformed: not JSON
+    '["#peaktime"]',  # malformed: not an object
+    b'{"id": 5, "text": "#peaktime \xff"}',  # malformed: not UTF-8
+]
+MIXED_COUNTS = {
+    "received": 8, "malformed": 4, "unmatched": 2, "duplicate": 1,
+    "written": 1, "matched": 2,
+}
+
+
+def assert_every_line_counted_once(stats: CollectionStats) -> None:
+    assert stats.received == (
+        stats.malformed + stats.unmatched + stats.duplicate + stats.written
+    )
+    assert stats.matched == stats.duplicate + stats.written
 
 
 class TestCredentials:
@@ -266,6 +290,22 @@ class TestCollectStream:
         assert (stats.received, stats.matched, stats.written) == (2, 1, 1)
         assert archive_bytes(tmp_path) == good.encode() + b"\n"
 
+    @pytest.mark.parametrize("hostile", HOSTILE_LINES.values(), ids=HOSTILE_LINES)
+    def test_hostile_line_does_not_stop_the_run(self, tmp_path, hostile):
+        good = matching_line(2)
+        stats = collect_stream(
+            stream_job(tmp_path), ReplaySource([hostile, good]), clock=ManualClock()
+        )
+        assert (stats.received, stats.malformed, stats.written) == (2, 1, 1)
+        assert archive_bytes(tmp_path) == good.encode() + b"\n"
+
+    def test_every_line_lands_in_one_counter(self, tmp_path):
+        stats = collect_stream(
+            stream_job(tmp_path), ReplaySource(MIXED_LINES), clock=ManualClock()
+        )
+        assert {name: getattr(stats, name) for name in MIXED_COUNTS} == MIXED_COUNTS
+        assert archive_bytes(tmp_path) == MIXED_LINES[0].encode() + b"\n"
+
     def test_healthy_connection_resets_backoff(self, tmp_path):
         clock = ManualClock()
 
@@ -366,11 +406,21 @@ class TestCollectStream:
 
     def test_invariant_written_matched_received(self, tmp_path):
         lines, _ = corpus_1000()
+        lines += MIXED_LINES
         source = ReplaySource(lines, disconnect_after=[100], rewind=10)
         stats = collect_stream(
             stream_job(tmp_path), source, clock=ManualClock()
         )
         assert stats.written <= stats.matched <= stats.received
+        assert_every_line_counted_once(stats)
+        pages = [lines[start : start + 64] for start in range(0, len(lines), 64)]
+        stats = collect_search(
+            search_job(tmp_path / "search"),
+            ScriptedSearchSource(pages),
+            clock=ManualClock(),
+        )
+        assert stats.written <= stats.matched <= stats.received
+        assert_every_line_counted_once(stats)
 
 
 class TestArchiveTail:
@@ -456,6 +506,13 @@ class TestCollectSearch:
         assert stats.rate_limit_waits == 1
         assert clock.waits == [30.0]
         assert stats.written == 5
+
+    def test_every_line_lands_in_one_counter(self, tmp_path):
+        pages = [MIXED_LINES[:3], MIXED_LINES[3:]]
+        stats = collect_search(
+            search_job(tmp_path), ScriptedSearchSource(pages), clock=ManualClock()
+        )
+        assert {name: getattr(stats, name) for name in MIXED_COUNTS} == MIXED_COUNTS
 
     def test_dedupe_across_pages(self, tmp_path):
         pages = [[matching_line(1), matching_line(2)], [matching_line(2)]]
@@ -568,6 +625,32 @@ class TestTcpTransport:
             with pytest.raises(StreamDisconnected, match=re.escape(repr(status))):
                 next(source.pages(("x",)))
 
+    @pytest.mark.parametrize("records", [0, 1, 4])
+    def test_page_must_hold_the_announced_records(self, records):
+        body = b"".join(b'{"id": %d}\n' % i for i in range(1, records + 1))
+        with _answer_once(b"OK 3\n" + body) as address:
+            source = TcpSearchSource(*address, clock=ManualClock())
+            with pytest.raises(StreamDisconnected, match=f"3 records, got {records}"):
+                next(source.pages(("x",)))
+
+    def test_search_page_with_a_blank_line(self):
+        lines = [matching_line(1), "", matching_line(2)]
+        with MockStreamServer(lines, page_size=2) as (host, port):
+            source = TcpSearchSource(host, port, clock=ManualClock())
+            assert list(source.pages(("x",))) == [
+                [lines[0].encode()], [lines[2].encode()]
+            ]
+
+    def test_stream_framing_survives_any_split(self):
+        # a CRLF record, blank LF and CRLF keep-alives, and an unterminated
+        # tail that the peer's close cuts off
+        payload = b'{"id": 1}\r\n\n{"id": 2}\n\r\n{"id": 3}'
+        expected = [b'{"id": 1}', b'{"id": 2}']
+        splits = [[payload[:at], payload[at:]] for at in range(1, len(payload))]
+        splits.append([payload[at : at + 1] for at in range(len(payload))])
+        for pieces in splits:
+            assert _read_lines_of(pieces) == expected, pieces
+
     def test_connect_refused_surfaces_as_disconnect(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -596,6 +679,53 @@ def _answer_once(response: bytes) -> Iterator[tuple[str, int]]:
         yield listener.getsockname()
         server.join(timeout=5)
     assert not server.is_alive()
+
+
+class _CountingSocket:
+    """One end of a socket pair whose recv() counts the bytes it returned."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self.received = 0
+        self.changed = threading.Condition()
+
+    def recv(self, size: int) -> bytes:
+        data = self._sock.recv(size)
+        with self.changed:
+            self.received += len(data)
+            self.changed.notify_all()
+        return data
+
+    def close(self) -> None:
+        self._sock.close()
+
+
+def _read_lines_of(pieces: list[bytes]) -> list[bytes]:
+    """What TcpStreamSource._read_lines yields when the peer sends each
+    piece only after the reader has received the previous one, then
+    closes; the close must end the read with StreamDisconnected."""
+    ours, peer = socket.socketpair()
+    ours.settimeout(0.02)
+    reader = _CountingSocket(ours)
+
+    def send():
+        sent = 0
+        with peer:
+            for piece in pieces:
+                peer.sendall(piece)
+                sent += len(piece)
+                with reader.changed:
+                    reader.changed.wait_for(lambda: reader.received >= sent, timeout=5)
+
+    sender = threading.Thread(target=send, daemon=True)
+    sender.start()
+    lines = []
+    with pytest.raises(StreamDisconnected, match="closed by peer"):
+        for line in TcpStreamSource._read_lines(reader, None):
+            lines.append(line)
+    sender.join(timeout=5)
+    assert not sender.is_alive()
+    return lines
 
 
 def _open_stream(host: str, port: int) -> socket.socket:

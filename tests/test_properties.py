@@ -1,13 +1,15 @@
 """Property-based checks of the documented invariants."""
 
 import calendar
+import json
 import random
+import re
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, random_corpus, record_line, write_archive
@@ -22,9 +24,13 @@ from eventpulse.analytics import (
 )
 from eventpulse.collector import (
     CollectionJob,
+    CollectionStats,
     ExponentialBackoff,
     ManualClock,
     ReplaySource,
+    ScriptedSearchSource,
+    _LineFilter,
+    collect_search,
     collect_stream,
     matches_track,
 )
@@ -543,12 +549,205 @@ def test_collection_counter_invariants(seed, rewind, cuts):
         archives = sorted((Path(tmp) / "proba").glob("*.jsonl"))
         written_lines = b"".join(p.read_bytes() for p in archives).splitlines()
     assert stats.written <= stats.matched <= stats.received
+    assert stats.received == (
+        stats.malformed + stats.unmatched + stats.duplicate + stats.written
+    )
     assert stats.reconnects == len(clock.waits)
     assert len(written_lines) == stats.written
     ids = [parse_tweet(line).id for line in written_lines]
     assert len(set(ids)) == len(ids)
     # replays re-deliver but never skip, so coverage is exact
     assert set(ids) == matching_ids
+
+    # the same lines over search pages of random sizes
+    pages, start = [], 0
+    while start < len(lines):
+        size = rng.randrange(1, 40)
+        pages.append(lines[start : start + size])
+        start += size
+    with tempfile.TemporaryDirectory() as tmp:
+        job = CollectionJob("search-recent", "proba", ("#proba",), Path(tmp))
+        stats = collect_search(job, ScriptedSearchSource(pages), clock=ManualClock())
+        archives = sorted((Path(tmp) / "proba").glob("*.jsonl"))
+        written_lines = b"".join(p.read_bytes() for p in archives).splitlines()
+    assert stats.written <= stats.matched <= stats.received == len(lines)
+    assert stats.received == (
+        stats.malformed + stats.unmatched + stats.duplicate + stats.written
+    )
+    assert {parse_tweet(line).id for line in written_lines} == matching_ids
+    assert len(written_lines) == stats.written == len(matching_ids)
+
+
+# The filter as it was before matching moved ahead of validation: a full
+# parse_tweet of every line, then this term loop. Kept as the reference.
+def reference_matches_track(tweet, track_terms) -> bool:
+    tokens = None
+    tags = {tag.casefold() for tag in tweet.hashtags}
+    for term in track_terms:
+        if term.startswith("#"):
+            term = term[1:]
+        term = term.casefold()
+        if not term:
+            continue
+        if term in tags:
+            return True
+        if tokens is None:
+            tokens = {match.casefold() for match in re.findall(r"[^\W_]+", tweet.text)}
+        if term in tokens:
+            return True
+    return False
+
+
+def reference_filter(lines, track_terms):
+    """Per-line decisions, (received, matched, written) and archive bytes."""
+    seen, decisions, archive = set(), [], b""
+    for raw in lines:
+        try:
+            tweet = parse_tweet(raw)
+        except ParseError:
+            decisions.append("dropped")
+            continue
+        if not reference_matches_track(tweet, track_terms):
+            decisions.append("dropped")
+        elif tweet.id in seen:
+            decisions.append("duplicate")
+        else:
+            seen.add(tweet.id)
+            archive += raw + b"\n"
+            decisions.append("written")
+    matched = decisions.count("duplicate") + decisions.count("written")
+    return decisions, (len(lines), matched, decisions.count("written")), archive
+
+
+# casefold edge cases: Kelvin sign, sharp s, final and capital sigma, dotted I
+FOLD_WORDS = [
+    "korrika", "KORRIKA", "\u212aorrika", "korrikalari", "korrika19",
+    "straße", "STRASSE", "ss", "ΟΔΟΣ", "οδος", "ς", "İstanbul", "i\u0307stanbul",
+    "aek_eguna", "gora",
+]
+TRACK_TERMS = FOLD_WORDS + [
+    "#korrika", "#Korrika", "##korrika", "#", "#korrika19", "#straße", "#οδος",
+    "#İstanbul", "#aek_eguna",
+]
+
+
+def word_variants(terms):
+    """Words near the track terms: case variants, tags and near misses."""
+    words = st.one_of(
+        st.sampled_from(terms + [term[1:] for term in terms if term.startswith("#")]),
+        st.sampled_from(FOLD_WORDS),
+    )
+    return st.one_of(
+        words,
+        words.map(str.upper),
+        words.map(str.lower),
+        words.map("{}lari".format),
+        st.text(max_size=4),
+    )
+
+
+@st.composite
+def filter_line(draw, terms) -> bytes:
+    kind = draw(st.sampled_from(
+        ["entities only", "text only", "bad field", "not an object",
+         "not utf-8", "broken json"]
+    ))
+    if kind == "not an object":
+        return draw(st.sampled_from(
+            [b"[1, 2]", b"3", b"null", b'"#korrika"', b'["#korrika"]']
+        ))
+    words = word_variants(terms)
+    words = st.one_of(words, words.map("#{}".format))
+    fields = {"id": draw(st.integers(1, 4))}  # small ids repeat
+    if kind == "entities only":
+        # tags that are not in the text, which has no term
+        fields["hashtags"] = draw(st.lists(words, max_size=3))
+        fields["text"] = "aupa zuek #denok"
+    else:
+        glue = draw(st.sampled_from([" ", ", ", " #", "_", ""]))
+        fields["text"] = glue.join(draw(st.lists(words, max_size=5)))
+    record = make_record(**fields)
+    if kind == "bad field":
+        field, value = draw(st.sampled_from([
+            ("created_at", "nope"), ("created_at", 12), ("created_at", None),
+            ("created_at", "Mon Jan 01 00:00:00 +0100 0001"),
+            ("id", 0), ("id", -1), ("id", 2**64), ("id", "abc"), ("id", True),
+            ("id", None), ("id", 1.5),
+            ("user", {}), ("user", {"screen_name": "@"}), ("user", {"screen_name": ""}),
+            ("user", "ane"),
+            ("retweeted_status", {"id": record["id"], "user": {"screen_name": "bi"}}),
+            ("retweeted_status", {"id": 99}),
+            ("retweeted_status", {"id": "x", "user": {"screen_name": "bi"}}),
+        ]))
+        record[field] = value
+    line = json.dumps(record, ensure_ascii=draw(st.booleans())).encode()
+    if kind == "not utf-8":
+        at = draw(st.integers(0, len(line)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        line = line[:at] + bad + line[at:]
+    elif kind == "broken json":
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    return line
+
+
+@st.composite
+def filter_cases(draw):
+    """Track terms, with duplicates and case variants, and lines near them."""
+    terms = draw(st.lists(
+        st.one_of(st.sampled_from(TRACK_TERMS), st.text(max_size=4)), min_size=1, max_size=3
+    ))
+    variants = st.tuples(
+        st.sampled_from(terms), st.sampled_from([str, str.upper, str.lower, "#{}".format])
+    )
+    terms += [variant(term) for term, variant in draw(st.lists(variants, max_size=2))]
+    return terms, draw(st.lists(filter_line(terms), min_size=1, max_size=25))
+
+
+def record_bytes(text, **fields) -> bytes:
+    return json.dumps(make_record(text=text, **fields), ensure_ascii=False).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_cases())
+# a token's fold is not the fold's token: "İ" folds to "i" + U+0307
+@example((["İstanbul"], [record_bytes("gora İstanbul")]))
+# the text's fold, not its lowercase, must contain the term
+@example((["ΟΔΟΣ", "strasse"], [record_bytes("οδος"), record_bytes("straße", id=2)]))
+# only the fold of an entity tag equals the term; one "#" is stripped
+@example((["ss", "ς", "##korrika"], [
+    record_bytes("aupa", hashtags=["ß"]), record_bytes("aupa", id=2, hashtags=["Σ"]),
+    record_bytes("aupa", id=3, hashtags=["#korrika"]), record_bytes("korrika", id=4),
+]))
+# a matching line that fails validation is neither matched nor written
+@example((["#korrika", "#"], [
+    record_bytes("#korrika", created_at="nope"), record_bytes("#korrika", id=2**64),
+    record_bytes("#korrika", id=5, user={"screen_name": "@"}),
+    record_bytes("#korrika", id=6, retweet=(6, "bi")), record_bytes("#korrika", id=7),
+]))
+def test_filter_matches_parse_then_match_reference(case):
+    terms, lines = case
+    lines = [line for line in lines if line.strip()]  # blanks are keep-alives
+    decisions, counts, archive = reference_filter(lines, terms)
+    step = {"dropped": (0, 0), "duplicate": (1, 0), "written": (1, 1)}
+
+    stats = CollectionStats()
+    job = CollectionJob("stream", "proba", tuple(terms), Path("unused"))
+    line_filter = _LineFilter(job, [], stats)  # a list stands in for the writer
+    for raw, decision in zip(lines, decisions):
+        before = (stats.matched, stats.written)
+        line_filter.handle(raw)
+        assert (stats.matched - before[0], stats.written - before[1]) == step[decision], raw
+        assert stats.received == (
+            stats.malformed + stats.unmatched + stats.duplicate + stats.written
+        )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        job = CollectionJob("stream", "proba", tuple(terms), Path(tmp))
+        stats = collect_stream(job, ReplaySource(lines), clock=ManualClock())
+        archives = sorted((Path(tmp) / "proba").glob("*.jsonl"))
+        written = b"".join(path.read_bytes() for path in archives)
+    assert (stats.received, stats.matched, stats.written) == counts
+    assert written == archive
 
 
 @settings(max_examples=50, deadline=None)

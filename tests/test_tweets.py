@@ -3,7 +3,14 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import BASE_TIME, make_record, make_tweet, record_line, write_archive
+from conftest import (
+    BASE_TIME,
+    HOSTILE_LINES,
+    make_record,
+    make_tweet,
+    record_line,
+    write_archive,
+)
 from eventpulse.tweets import (
     MAX_ID,
     ParseError,
@@ -195,6 +202,12 @@ class TestParseErrors:
             parse_tweet(b'{"id": 1\xff}')
         assert exc.value.field == "line"
 
+    @pytest.mark.parametrize("line", HOSTILE_LINES.values(), ids=HOSTILE_LINES)
+    def test_decoder_limits_are_line_errors(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_tweet(line.encode())
+        assert exc.value.field == "line"
+
 
 class TestTweetValidation:
     def test_naive_created_at_rejected(self):
@@ -257,6 +270,13 @@ class TestReadArchive:
         tweets, stats = read_archive(write_archive(tmp_path / "a.jsonl", lines))
         assert [t.id for t in tweets] == [2]
         assert (stats.parsed, stats.skipped_malformed) == (1, 1)
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES.values(), ids=HOSTILE_LINES)
+    def test_hostile_line_is_malformed(self, tmp_path, line):
+        lines = [record_line(id=1), line, record_line(id=2)]
+        tweets, stats = read_archive(write_archive(tmp_path / "a.jsonl", lines))
+        assert [t.id for t in tweets] == [1, 2]
+        assert (stats.total_lines, stats.parsed, stats.skipped_malformed) == (3, 2, 1)
 
     def test_dedupe_keeps_first(self, tmp_path):
         lines = [
