@@ -121,6 +121,8 @@ def _cmd_collect(args: argparse.Namespace, config: GlobalConfig) -> int:
         )
         return 1
 
+    address = _tcp_address(endpoint) if endpoint.startswith("tcp://") else None
+
     stop = threading.Event()
     previous_handler = None
     try:
@@ -129,24 +131,20 @@ def _cmd_collect(args: argparse.Namespace, config: GlobalConfig) -> int:
         pass  # not the main thread; rely on the stop event alone
 
     try:
-        if endpoint.startswith("tcp://"):
-            host, _, port = endpoint[len("tcp://") :].partition(":")
+        if address is not None:
             if job.mode == "stream":
-                source = TcpStreamSource(host, int(port), credentials=credentials)
+                source = TcpStreamSource(*address, credentials=credentials)
                 stats = collect_stream(job, source, stop)
             else:
                 kind = job.mode.removeprefix("search-")
-                source = TcpSearchSource(
-                    host, int(port), kind=kind, credentials=credentials
-                )
+                source = TcpSearchSource(*address, kind=kind, credentials=credentials)
                 stats = collect_search(job, source, stop=stop)
         else:
-            path = endpoint.removeprefix("file://")
+            replay = ReplaySource.from_file(endpoint.removeprefix("file://"))
             if job.mode == "stream":
-                stats = collect_stream(job, ReplaySource.from_file(path), stop)
+                stats = collect_stream(job, replay, stop)
             else:
-                with open(path, "rb") as handle:
-                    lines = [raw.rstrip(b"\r\n") for raw in handle if raw.strip()]
+                lines = replay.lines
                 pages = [lines[i : i + 100] for i in range(0, len(lines), 100)]
                 stats = collect_search(job, ScriptedSearchSource(pages), stop=stop)
     finally:
@@ -158,6 +156,16 @@ def _cmd_collect(args: argparse.Namespace, config: GlobalConfig) -> int:
         f"written {stats.written}, reconnects {stats.reconnects}"
     )
     return 0
+
+
+def _tcp_address(endpoint: str) -> tuple[str, int]:
+    """Split ``tcp://HOST:PORT``; PORT must be a decimal integer 1-65535."""
+    host, _, port = endpoint[len("tcp://") :].partition(":")
+    # int() alone would take "-1" or "+80", and a port past 65535 wraps
+    # around to another port when the socket layer resolves it
+    if not (port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+        raise ValueError(f"bad endpoint {endpoint!r}: port must be an integer 1-65535")
+    return host, int(port)
 
 
 def _cmd_histogram(args: argparse.Namespace, config: GlobalConfig) -> int:

@@ -1,10 +1,11 @@
 """Collect keyword-filtered posts from a streaming or search source.
 
 Matching lines are appended raw (byte-exact) to one archive file per
-UTC day under ``archive_dir/event_name/``. A run uses one reader task
-per source connection and one writer; they hand lines over through a
-bounded queue so a slow disk back-pressures the reader instead of
-growing memory without limit.
+UTC day under ``archive_dir/event_name/``. A run reads, filters and
+writes each line on the caller's thread before it reads the next one,
+so a line is filed under the UTC day on which it was received and the
+source connection (for TCP, the socket) is the only buffer: a slow
+disk pushes back on the connection instead of growing memory.
 
 Time only enters through a Clock object (``now``/``wait``), so tests
 drive reconnect backoff and rate-limit pauses with a virtual clock.
@@ -16,7 +17,6 @@ import configparser
 import logging
 import math
 import os
-import queue
 import re
 import socket
 import threading
@@ -59,8 +59,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-QUEUE_CAPACITY = 10_000
-
 _EVENT_NAME = re.compile(r"^[A-Za-z0-9_-]+$")
 _CREDENTIAL_KEYS = (
     "consumer_key",
@@ -71,8 +69,6 @@ _CREDENTIAL_KEYS = (
 
 # tokens are maximal runs of letters and digits; underscore separates
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
-
-_END = object()
 
 
 class ConfigError(Exception):
@@ -292,6 +288,9 @@ class StreamSource(Protocol):
 
     Iteration ends when the source is permanently exhausted or the stop
     event is set; a transient drop raises StreamDisconnected instead.
+    collect_stream checks stop only between lines, so a source must also
+    notice stop while it idles (TcpStreamSource polls it between short
+    read timeouts): that is the only way a run stops mid-stream.
     """
 
     def connect(
@@ -668,7 +667,6 @@ def collect_stream(
     *,
     clock: Clock | None = None,
     stats: CollectionStats | None = None,
-    queue_capacity: int = QUEUE_CAPACITY,
 ) -> CollectionStats:
     """Run a streaming collection until the source ends or stop is set.
 
@@ -684,72 +682,32 @@ def collect_stream(
     clock = clock or SystemClock()
     stop = stop if stop is not None else threading.Event()
     stats = stats if stats is not None else CollectionStats()
-    handoff: queue.Queue = queue.Queue(maxsize=queue_capacity)
     backoff = ExponentialBackoff()
-    reader_error: list[BaseException] = []
-
-    def put(item) -> bool:
-        while True:
-            try:
-                handoff.put(item, timeout=0.1)
-                return True
-            except queue.Full:
-                if stop.is_set():
-                    return False
-
-    def reader() -> None:
-        connects = 0
-        try:
-            while not stop.is_set():
-                connected_at = None
-                try:
-                    stream = source.connect(job.track_terms, stop)
-                    connected_at = clock.now()
-                    connects += 1
-                    if connects > 1:
-                        stats.reconnects += 1
-                    for raw in stream:
-                        if stop.is_set():
-                            return
-                        if not raw.strip():
-                            continue  # keep-alive
-                        if not put(raw):
-                            return
-                    if not stop.is_set():
-                        put(_END)
-                    return
-                except StreamDisconnected as exc:
-                    if (
-                        connected_at is not None
-                        and clock.now() - connected_at >= backoff.healthy_reset
-                    ):
-                        backoff.reset()
-                    delay = backoff.next_delay()
-                    log.info("stream dropped (%s); reconnecting in %.0fs", exc, delay)
-                    clock.wait(stop, delay)
-        except BaseException as exc:  # pragma: no cover - defensive
-            reader_error.append(exc)
-            put(_END)
-
+    connects = 0
     with _run(job, clock, stats) as pipeline:
-        thread = threading.Thread(target=reader, name="eventpulse-reader", daemon=True)
-        thread.start()
-        try:
-            while True:
-                try:
-                    raw = handoff.get(timeout=0.05)
-                except queue.Empty:
-                    if stop.is_set() or not thread.is_alive():
+        while not stop.is_set():
+            connected_at = None
+            try:
+                stream = source.connect(job.track_terms, stop)
+                connected_at = clock.now()
+                connects += 1
+                if connects > 1:
+                    stats.reconnects += 1
+                for raw in stream:
+                    if stop.is_set():
                         break
-                    continue
-                if raw is _END:
-                    break
-                pipeline.handle(raw)
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-    if reader_error:
-        raise reader_error[0]
+                    if raw.strip():  # a blank line is a keep-alive
+                        pipeline.handle(raw)
+                break
+            except StreamDisconnected as exc:
+                if (
+                    connected_at is not None
+                    and clock.now() - connected_at >= backoff.healthy_reset
+                ):
+                    backoff.reset()
+                delay = backoff.next_delay()
+                log.info("stream dropped (%s); reconnecting in %.0fs", exc, delay)
+                clock.wait(stop, delay)
     return stats
 
 

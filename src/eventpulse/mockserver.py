@@ -28,7 +28,7 @@ from __future__ import annotations
 import socket
 import threading
 from typing import Iterable
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import parse_qs, urlsplit
 
 from .collector import ReplaySource, StreamDisconnected
 
@@ -135,10 +135,7 @@ class MockStreamServer:
         parts = line.split()
         target = parts[1] if len(parts) > 1 else "/"
         url = urlsplit(target)
-        params = {
-            key: [unquote(v) for v in values]
-            for key, values in parse_qs(url.query).items()
-        }
+        params = parse_qs(url.query)
         if url.path == "/search":
             self._serve_search(conn, params)
         else:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -351,6 +355,29 @@ class TestCollectCommand:
         )
         assert code == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("port", ["0", "65536", "70000", "-1", "abc", ""])
+    def test_bad_endpoint_port_fails_before_connecting(self, tmp_path, port):
+        # a child process under a timeout: an unchecked port could make the
+        # run reconnect forever instead of returning
+        endpoint = f"tcp://127.0.0.1:{port}"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {key: value for key, value in os.environ.items() if key != "EVENTPULSE_CONFIG"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys; from eventpulse.cli import run; sys.exit(run(sys.argv[1:]))",
+                "--data-dir", str(tmp_path / "data"),
+                "collect", "stream", "proba", "#proba", "--endpoint", endpoint,
+            ],
+            capture_output=True, text=True, timeout=20, cwd=tmp_path, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        [message] = done.stderr.splitlines()
+        assert message.startswith("error:") and endpoint in message
+        assert not (tmp_path / "data").exists()  # no run was started
 
     def test_bad_event_name_is_1(self, tmp_path, capsys):
         code = run(

@@ -389,16 +389,6 @@ class TestCollectStream:
         assert stats.received == 2
         assert stats.written == 2
 
-    def test_tiny_queue_still_delivers_everything(self, tmp_path):
-        lines, _ = corpus_1000()
-        stats = collect_stream(
-            stream_job(tmp_path),
-            ReplaySource(lines),
-            clock=ManualClock(),
-            queue_capacity=8,
-        )
-        assert stats.written == 600
-
     def test_wrong_mode_rejected(self, tmp_path):
         job = CollectionJob("search-recent", "proba", ("a",), tmp_path)
         with pytest.raises(ValueError):
@@ -475,6 +465,26 @@ class TestArchiveDays:
         assert opened[1].closed
         assert archive_bytes(tmp_path) == b"first\nlast of the day\n"
         assert archive_bytes(tmp_path, day="2001-09-10") == b"next day\n"
+
+    def test_each_line_is_filed_by_the_day_it_arrives(self, tmp_path):
+        clock = ManualClock()
+        clock.advance(86_400 - clock.now() % 86_400 - 1)  # 23:59:59 UTC
+        first, second = matching_line(1).encode(), matching_line(2).encode()
+
+        class AcrossMidnight:
+            def connect(self, track_terms, stop=None):
+                yield first
+                clock.advance(2)
+                yield second
+
+        stats = collect_stream(stream_job(tmp_path), AcrossMidnight(), clock=clock)
+        assert stats.written == 2
+        assert sorted(path.name for path in (tmp_path / "proba").iterdir()) == [
+            f"{MANUAL_CLOCK_DAY}.jsonl",
+            "2001-09-10.jsonl",
+        ]
+        assert archive_bytes(tmp_path) == first + b"\n"
+        assert archive_bytes(tmp_path, day="2001-09-10") == second + b"\n"
 
 
 def search_job(tmp_path) -> CollectionJob:
