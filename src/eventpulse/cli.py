@@ -159,12 +159,16 @@ def _cmd_collect(args: argparse.Namespace, config: GlobalConfig) -> int:
 
 
 def _tcp_address(endpoint: str) -> tuple[str, int]:
-    """Split ``tcp://HOST:PORT``; PORT must be a decimal integer 1-65535."""
-    host, _, port = endpoint[len("tcp://") :].partition(":")
+    """Split ``tcp://HOST:PORT`` (IPv6 as ``[::1]``); PORT is an integer 1-65535."""
+    host, _, port = endpoint[len("tcp://") :].rpartition(":")
     # int() alone would take "-1" or "+80", and a port past 65535 wraps
     # around to another port when the socket layer resolves it
     if not (port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
         raise ValueError(f"bad endpoint {endpoint!r}: port must be an integer 1-65535")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    elif ":" in host:
+        raise ValueError(f"bad endpoint {endpoint!r}: an IPv6 host must be in brackets")
     return host, int(port)
 
 

@@ -633,7 +633,7 @@ class _LineFilter:
             stats.unmatched += 1
             return
         try:
-            tweet = _build_tweet(record)
+            tweet = _build_tweet(record, text, hashtags)
         except ParseError:
             stats.malformed += 1
             return

@@ -110,7 +110,7 @@ class Tweet:
                 raise ValueError("retweet cannot reference itself")
         if self.coords is not None:
             lat, lon = self.coords
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            if not _on_globe(lat, lon):
                 raise ValueError(f"coordinates out of range: {self.coords!r}")
             object.__setattr__(self, "coords", (float(lat), float(lon)))
 
@@ -183,11 +183,15 @@ def _parse_timestamp(value: object) -> datetime:
 
 
 def _parse_id(value: object, field_name: str) -> int:
-    # ids may arrive as JSON numbers or as digit strings
+    # ids may arrive as JSON numbers or as decimal digit strings; unlike
+    # isdigit(), isdecimal() takes only digits int() reads (not "²" or "①")
     if isinstance(value, bool):
         raise ParseError(field_name, f"expected an integer id, got {value!r}")
-    if isinstance(value, str) and value.isdigit():
-        value = int(value)
+    if isinstance(value, str) and value.isdecimal():
+        try:
+            value = int(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(field_name, "id has too many digits") from None
     if not isinstance(value, int):
         raise ParseError(field_name, f"missing or non-integer id: {value!r}")
     if not 0 < value <= MAX_ID:
@@ -195,59 +199,49 @@ def _parse_id(value: object, field_name: str) -> int:
     return value
 
 
+def _screen_name(value: object) -> str | None:
+    """A screen name without its leading "@"s and outer blanks, or None."""
+    return (value.lstrip("@").strip() or None) if isinstance(value, str) else None
+
+
 def _parse_screen_name(container: object, field_name: str) -> str:
-    name = container.get("screen_name") if isinstance(container, dict) else None
-    if isinstance(name, str):
-        name = name.lstrip("@").strip()
-    if not name or not isinstance(name, str):
-        raise ParseError(field_name, "missing screen name")
-    return name
+    if isinstance(container, dict) and (name := _screen_name(container.get("screen_name"))):
+        return name
+    raise ParseError(field_name, "missing screen name")
 
 
-def _parse_hashtags(record: dict, text: str) -> tuple[str, ...]:
-    entities = record.get("entities")
-    if isinstance(entities, dict) and isinstance(entities.get("hashtags"), list):
-        return tuple(
-            item["text"].lower()
-            for item in entities["hashtags"]
-            if isinstance(item, dict)
-            and isinstance(item.get("text"), str)
-            and item["text"]
-        )
-    return tuple(match.group(1).lower() for match in _HASHTAG.finditer(text))
+def _counter(value: object) -> int | None:
+    """A platform counter: a JSON integer >= 0 (not a bool), else None."""
+    return value if type(value) is int and value >= 0 else None
 
 
-def _as_point(value: object) -> tuple[float, float] | None:
-    if not isinstance(value, (list, tuple)) or len(value) < 2:
-        return None
-    first, second = value[0], value[1]
-    for item in (first, second):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            return None
-    return float(first), float(second)
-
-
-def _valid_coords(lat: float, lon: float) -> bool:
+def _on_globe(lat: float, lon: float) -> bool:
     return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
 
 
+def _point(container: object, lat_at: int) -> tuple[float, float] | None:
+    """(latitude, longitude) of ``container["coordinates"]``, or None.
+
+    Latitude is item ``lat_at`` of the list. The range is checked before
+    float(), so an integer too big for a float is off the globe, not an error.
+    """
+    if not isinstance(container, dict):
+        return None
+    pair = container.get("coordinates")
+    if not isinstance(pair, (list, tuple)) or len(pair) < 2:
+        return None
+    lat, lon = pair[lat_at], pair[1 - lat_at]
+    numbers = type(lat) in (int, float) and type(lon) in (int, float)  # bools are not
+    return (float(lat), float(lon)) if numbers and _on_globe(lat, lon) else None
+
+
 def _parse_coords(record: dict) -> tuple[float, float] | None:
-    """GeoJSON-style container wins; it stores [longitude, latitude]."""
-    geojson = record.get("coordinates")
-    if isinstance(geojson, dict):
-        point = _as_point(geojson.get("coordinates"))
-        if point is not None:
-            lon, lat = point
-            if _valid_coords(lat, lon):
-                return lat, lon
-    legacy = record.get("geo")
-    if isinstance(legacy, dict):
-        point = _as_point(legacy.get("coordinates"))
-        if point is not None:
-            lat, lon = point
-            if _valid_coords(lat, lon):
-                return lat, lon
-    return None
+    """(latitude, longitude) from GeoJSON ``coordinates``, else legacy ``geo``.
+
+    GeoJSON stores [longitude, latitude], ``geo`` [latitude, longitude].
+    A pair that is short, not two JSON numbers or off the globe is absent.
+    """
+    return _point(record.get("coordinates"), 1) or _point(record.get("geo"), 0)
 
 
 def _parse_retweet(record: dict, tweet_id: int) -> tuple[RetweetRef | None, int | None]:
@@ -261,10 +255,7 @@ def _parse_retweet(record: dict, tweet_id: int) -> tuple[RetweetRef | None, int 
     original_author = _parse_screen_name(
         embedded.get("user"), "retweeted_status.user.screen_name"
     )
-    counter = embedded.get("retweet_count")
-    if isinstance(counter, bool) or not isinstance(counter, int) or counter < 0:
-        counter = None
-    return RetweetRef(original_id, original_author), counter
+    return RetweetRef(original_id, original_author), _counter(embedded.get("retweet_count"))
 
 
 def _decode_record(line: str | bytes) -> dict:
@@ -293,40 +284,39 @@ def _decode_record(line: str | bytes) -> dict:
 
 
 def _text_and_hashtags(record: dict) -> tuple[str, tuple[str, ...]]:
-    """The record's text ("" when absent) and its lowercase hashtags."""
+    """The record's text ("" when absent) and its lowercase hashtags.
+
+    Tags come from ``entities.hashtags`` when that is a list, else from
+    the ``#word`` runs of the text.
+    """
     text = record.get("text")
     if not isinstance(text, str):
         text = ""
-    return text, _parse_hashtags(record, text)
+    entities = record.get("entities")
+    if isinstance(entities, dict) and isinstance(entities.get("hashtags"), list):
+        return text, tuple(
+            item["text"].lower()
+            for item in entities["hashtags"]
+            if isinstance(item, dict)
+            and isinstance(item.get("text"), str)
+            and item["text"]
+        )
+    return text, tuple(match.group(1).lower() for match in _HASHTAG.finditer(text))
 
 
-def _build_tweet(record: dict) -> Tweet:
+def _build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
     """Validate a decoded record and build its Tweet.
 
-    Raises ParseError naming the offending field for a missing id /
-    created_at / author, an unparseable timestamp or a bad retweet.
+    ``text`` and ``hashtags`` are ``_text_and_hashtags(record)``, which the
+    caller may already hold. Raises ParseError naming the first bad field,
+    checked in the order id, created_at, user.screen_name, retweeted_status.
     """
     tweet_id = _parse_id(record.get("id"), "id")
     created_at = _parse_timestamp(record.get("created_at"))
     author = _parse_screen_name(record.get("user"), "user.screen_name")
-    text, hashtags = _text_and_hashtags(record)
-
     retweet_of, retweet_count = _parse_retweet(record, tweet_id)
     if retweet_of is None:
-        own_counter = record.get("retweet_count")
-        if (
-            isinstance(own_counter, int)
-            and not isinstance(own_counter, bool)
-            and own_counter >= 0
-        ):
-            retweet_count = own_counter
-
-    reply_to = record.get("in_reply_to_screen_name")
-    if isinstance(reply_to, str):
-        reply_to = reply_to.lstrip("@").strip() or None
-    else:
-        reply_to = None
-
+        retweet_count = _counter(record.get("retweet_count"))
     return Tweet(
         id=tweet_id,
         created_at=created_at,
@@ -334,7 +324,7 @@ def _build_tweet(record: dict) -> Tweet:
         text=text,
         hashtags=hashtags,
         retweet_of=retweet_of,
-        reply_to=reply_to,
+        reply_to=_screen_name(record.get("in_reply_to_screen_name")),
         coords=_parse_coords(record),
         retweet_count=retweet_count,
     )
@@ -347,7 +337,8 @@ def parse_tweet(line: str | bytes) -> Tweet:
     a missing id / created_at / author, or an unparseable timestamp.
     The input line itself is never modified.
     """
-    return _build_tweet(_decode_record(line))
+    record = _decode_record(line)
+    return _build_tweet(record, *_text_and_hashtags(record))
 
 
 def read_archive(

@@ -20,7 +20,7 @@ GEXF_NS = "http://www.gexf.net/1.2draft"
 # Lines on which json.loads raises something other than JSONDecodeError:
 # RecursionError for deep nesting, and a plain ValueError for an integer
 # longer than the interpreter's default digit limit (4300 digits).
-HOSTILE_LINES = {
+DECODER_LIMIT_LINES = {
     "nested too deep": "[" * 100_000,
     "id past the int digit limit": '{"id": ' + "1" * 5000 + ', "text": "#peaktime"}',
 }
@@ -91,6 +91,25 @@ def make_record(
 
 def record_line(**kwargs) -> str:
     return json.dumps(make_record(**kwargs), ensure_ascii=False)
+
+
+# Matching records with a digit-string id that int() rejects, and the
+# field that must be blamed: "²" and "①" pass str.isdigit() but are not
+# decimal digits, and 5000 digits are past int()'s default limit.
+BAD_DIGIT_ID_LINES = {
+    "superscript id": (record_line(id="²", text="#peaktime"), "id"),
+    "circled retweet id": (
+        record_line(id=5, text="#peaktime", retweet=("①", "bi")),
+        "retweeted_status.id",
+    ),
+    "id string past the int digit limit": (record_line(id="1" * 5000, text="#peaktime"), "id"),
+}
+
+# Lines that once stopped a whole read or collection run.
+HOSTILE_LINES = {
+    **DECODER_LIMIT_LINES,
+    **{name: line for name, (line, _) in BAD_DIGIT_ID_LINES.items()},
+}
 
 
 def write_archive(path: Path, lines: list[str | bytes]) -> Path:

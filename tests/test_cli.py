@@ -1,5 +1,7 @@
 import json
 import os
+import signal
+import socket
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -10,6 +12,20 @@ import pytest
 from conftest import make_record, record_line, write_archive
 from eventpulse.cli import run
 from eventpulse.mockserver import MockStreamServer
+
+
+def collect_child(tmp_path: Path, endpoint: str) -> tuple[list[str], dict]:
+    """argv and environment of `eventpulse collect stream` as a child process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "EVENTPULSE_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [
+        sys.executable, "-c",
+        "import sys; from eventpulse.cli import run; sys.exit(run(sys.argv[1:]))",
+        "--data-dir", str(tmp_path / "data"),
+        "collect", "stream", "proba", "#proba", "--endpoint", endpoint,
+    ]
+    return argv, env
 
 
 def ts(hour: int, minute: int) -> datetime:
@@ -361,23 +377,55 @@ class TestCollectCommand:
         # a child process under a timeout: an unchecked port could make the
         # run reconnect forever instead of returning
         endpoint = f"tcp://127.0.0.1:{port}"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {key: value for key, value in os.environ.items() if key != "EVENTPULSE_CONFIG"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv, env = collect_child(tmp_path, endpoint)
         done = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import sys; from eventpulse.cli import run; sys.exit(run(sys.argv[1:]))",
-                "--data-dir", str(tmp_path / "data"),
-                "collect", "stream", "proba", "#proba", "--endpoint", endpoint,
-            ],
-            capture_output=True, text=True, timeout=20, cwd=tmp_path, env=env,
+            argv, capture_output=True, text=True, timeout=20, cwd=tmp_path, env=env
         )
         assert done.returncode == 1
         assert done.stdout == ""
         [message] = done.stderr.splitlines()
         assert message.startswith("error:") and endpoint in message
         assert not (tmp_path / "data").exists()  # no run was started
+
+    def test_bracketed_ipv6_endpoint_is_reached(self, tmp_path):
+        try:
+            listener = socket.create_server(("::1", 0), family=socket.AF_INET6)
+        except OSError:
+            pytest.skip("cannot listen on ::1")
+        with listener:
+            argv, env = collect_child(tmp_path, f"tcp://[::1]:{listener.getsockname()[1]}")
+            child = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                cwd=tmp_path, env=env,
+            )
+            try:
+                listener.settimeout(20)
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(20)
+                    request = b""
+                    while b"\r\n\r\n" not in request and (chunk := conn.recv(4096)):
+                        request += chunk
+                    child.send_signal(signal.SIGINT)  # stop the run, as Ctrl-C does
+                    out, err = child.communicate(timeout=20)
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.communicate()
+        assert request.startswith(b"GET /stream?track=")
+        assert child.returncode == 0, err
+        assert "received 0" in out
+
+    @pytest.mark.parametrize("endpoint", ["tcp://::1:9", "tcp://[::1:9", "tcp://::1]:9"])
+    def test_unbracketed_ipv6_host_is_rejected(self, tmp_path, capsys, endpoint):
+        code = run(
+            ["--data-dir", str(tmp_path / "data"), "collect", "stream", "proba", "#proba",
+             "--endpoint", endpoint]
+        )
+        assert code == 1
+        [message] = capsys.readouterr().err.splitlines()
+        assert message == f"error: bad endpoint {endpoint!r}: an IPv6 host must be in brackets"
+        assert not (tmp_path / "data").exists()
 
     def test_bad_event_name_is_1(self, tmp_path, capsys):
         code = run(

@@ -299,6 +299,15 @@ class TestCollectStream:
         assert (stats.received, stats.malformed, stats.written) == (2, 1, 1)
         assert archive_bytes(tmp_path) == good.encode() + b"\n"
 
+    def test_coordinate_past_the_float_range_does_not_stop_the_run(self, tmp_path):
+        huge = record_line(id=1, text="#peaktime", geo=(10**400, -2.67))
+        good = matching_line(2)
+        stats = collect_stream(
+            stream_job(tmp_path), ReplaySource([huge, good]), clock=ManualClock()
+        )
+        assert (stats.received, stats.malformed, stats.written) == (2, 0, 2)
+        assert archive_bytes(tmp_path) == f"{huge}\n{good}\n".encode()
+
     def test_every_line_lands_in_one_counter(self, tmp_path):
         stats = collect_stream(
             stream_job(tmp_path), ReplaySource(MIXED_LINES), clock=ManualClock()

@@ -46,7 +46,16 @@ from eventpulse.graph import (
     label_propagation,
     notable_subgraph,
 )
-from eventpulse.tweets import ParseError, _parse_timestamp, parse_tweet, read_archive
+from eventpulse.tweets import (
+    MAX_ID,
+    ParseError,
+    RetweetRef,
+    Tweet,
+    _decode_record,
+    _parse_timestamp,
+    parse_tweet,
+    read_archive,
+)
 
 corpora = st.builds(
     lambda seed, size: random_corpus(random.Random(seed), size),
@@ -229,6 +238,267 @@ def test_read_archive_accounting(seed, flags):
     )
     assert len(tweets) == stats.parsed
     assert len({t.id for t in tweets}) == len(tweets)
+
+
+# --- record rules ------------------------------------------------------------
+
+
+# parse_tweet as it was before each record rule was written once in
+# _build_tweet; _decode_record and _parse_timestamp are unchanged and shared.
+# Kept as the reference.
+def reference_parse_id(value, field_name):
+    if isinstance(value, bool):
+        raise ParseError(field_name, f"expected an integer id, got {value!r}")
+    if isinstance(value, str) and value.isdigit():
+        value = int(value)
+    if not isinstance(value, int):
+        raise ParseError(field_name, f"missing or non-integer id: {value!r}")
+    if not 0 < value <= MAX_ID:
+        raise ParseError(field_name, f"id out of unsigned 64-bit range: {value}")
+    return value
+
+
+def reference_screen_name(container, field_name):
+    name = container.get("screen_name") if isinstance(container, dict) else None
+    if isinstance(name, str):
+        name = name.lstrip("@").strip()
+    if not name or not isinstance(name, str):
+        raise ParseError(field_name, "missing screen name")
+    return name
+
+
+def reference_hashtags(record, text):
+    entities = record.get("entities")
+    if isinstance(entities, dict) and isinstance(entities.get("hashtags"), list):
+        return tuple(
+            item["text"].lower()
+            for item in entities["hashtags"]
+            if isinstance(item, dict) and isinstance(item.get("text"), str) and item["text"]
+        )
+    return tuple(match.group(1).lower() for match in re.finditer(r"#(\w+)", text))
+
+
+def reference_point(value):
+    if not isinstance(value, (list, tuple)) or len(value) < 2:
+        return None
+    first, second = value[0], value[1]
+    for item in (first, second):
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            return None
+    return float(first), float(second)
+
+
+def reference_coords(record):
+    geojson = record.get("coordinates")
+    if isinstance(geojson, dict):
+        point = reference_point(geojson.get("coordinates"))
+        if point is not None:
+            lon, lat = point
+            if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+                return lat, lon
+    legacy = record.get("geo")
+    if isinstance(legacy, dict):
+        point = reference_point(legacy.get("coordinates"))
+        if point is not None:
+            lat, lon = point
+            if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+                return lat, lon
+    return None
+
+
+def reference_counter(counter):
+    if isinstance(counter, bool) or not isinstance(counter, int) or counter < 0:
+        return None
+    return counter
+
+
+def reference_parse_tweet(line):
+    record = _decode_record(line)
+    tweet_id = reference_parse_id(record.get("id"), "id")
+    created_at = _parse_timestamp(record.get("created_at"))
+    author = reference_screen_name(record.get("user"), "user.screen_name")
+    text = record.get("text")
+    if not isinstance(text, str):
+        text = ""
+    retweet_of, retweet_count = None, reference_counter(record.get("retweet_count"))
+    embedded = record.get("retweeted_status")
+    if isinstance(embedded, dict):
+        original_id = reference_parse_id(embedded.get("id"), "retweeted_status.id")
+        if original_id == tweet_id:
+            raise ParseError("retweeted_status.id", "retweet references itself")
+        original_author = reference_screen_name(
+            embedded.get("user"), "retweeted_status.user.screen_name"
+        )
+        retweet_of = RetweetRef(original_id, original_author)
+        retweet_count = reference_counter(embedded.get("retweet_count"))
+    reply_to = record.get("in_reply_to_screen_name")
+    if isinstance(reply_to, str):
+        reply_to = reply_to.lstrip("@").strip() or None
+    else:
+        reply_to = None
+    return Tweet(
+        id=tweet_id,
+        created_at=created_at,
+        author=author,
+        text=text,
+        hashtags=reference_hashtags(record, text),
+        retweet_of=retweet_of,
+        reply_to=reply_to,
+        coords=reference_coords(record),
+        retweet_count=retweet_count,
+    )
+
+
+def outcome(parse, line):
+    """The Tweet, ("ParseError", field), or the type and text of a crash."""
+    try:
+        return parse(line)
+    except ParseError as exc:
+        return ("ParseError", exc.field)
+    except (ValueError, OverflowError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def defused(record: dict) -> tuple[dict, bool]:
+    """A copy with the reference's two crash inputs replaced, and whether any was.
+
+    A digit-string id that int() rejects becomes "x", and a coordinate
+    integer past the float range becomes 1000: inputs the reference
+    already treats the way the parser must now treat the originals (an
+    id error on the same field; a pair that is off the globe).
+    """
+    record, changed = json.loads(json.dumps(record)), False
+    for holder in (record, record.get("retweeted_status")):
+        if isinstance(holder, dict) and isinstance(holder.get("id"), str):
+            try:
+                holder["id"].isdigit() and int(holder["id"])
+            except ValueError:
+                holder["id"], changed = "x", True
+    for name in ("coordinates", "geo"):
+        container = record.get(name)
+        pair = container.get("coordinates") if isinstance(container, dict) else None
+        for at, item in enumerate(pair if isinstance(pair, list) else ()):
+            try:
+                type(item) is int and float(item)
+            except OverflowError:
+                pair[at], changed = 1000, True
+    return record, changed
+
+
+HOSTILE_NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([MAX_ID, MAX_ID + 1, 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+HOSTILE_IDS = st.one_of(
+    HOSTILE_NUMBERS,
+    # digits int() reads, and (last three) digits it rejects
+    st.sampled_from(["3", "007", "\u0663", "\u0669\u0667\u0667", "\uff13", "\u00b2", "\u2460", "1" * 5000]),
+    st.sampled_from(["-3", " 3", "3.0", "", "x"]),
+)
+HOSTILE_NAMES = st.one_of(
+    st.sampled_from(["@", "@@@", "", "  ", " ane ", "ane@", "@@ane", " @ane", "@ @ane"]),
+    st.text(max_size=3),
+    HOSTILE_NUMBERS,
+)
+HOSTILE_COUNTERS = st.one_of(HOSTILE_NUMBERS, st.sampled_from(["7", ""]))
+COORD_LISTS = st.lists(
+    st.one_of(
+        st.floats(-180, 180),
+        st.integers(-200, 200),
+        st.sampled_from([10**400, -(10**400)]),
+        HOSTILE_NUMBERS,
+        st.sampled_from(["43.2", ""]),
+    ),
+    max_size=3,
+)
+COORD_CONTAINERS = st.one_of(
+    COORD_LISTS.map(lambda pair: {"type": "Point", "coordinates": pair}),
+    COORD_LISTS,
+    st.sampled_from([None, "x", {}, {"coordinates": "43.2,-2.6"}, {"coordinates": {"0": 1}}]),
+)
+HOSTILE_USERS = st.one_of(
+    st.builds(lambda name: {"screen_name": name}, HOSTILE_NAMES), HOSTILE_NAMES
+)
+HOSTILE_FIELDS = {
+    "id": HOSTILE_IDS,
+    "created_at": st.sampled_from(
+        ["2015-03-19T18:00:00Z", "nope", "", 12, None, "Mon Jan 01 00:00:00 +0100 0001"]
+    ),
+    "user": HOSTILE_USERS,
+    "text": st.one_of(st.sampled_from(["Gora #Korrika eta #AEK", "#"]), HOSTILE_NUMBERS),
+    "entities": st.one_of(
+        st.builds(
+            lambda tags: {"hashtags": tags},
+            st.lists(
+                st.one_of(
+                    st.builds(
+                        lambda tag: {"text": tag}, st.one_of(st.text(max_size=3), HOSTILE_NUMBERS)
+                    ),
+                    st.sampled_from(["Korrika", None, {}]),
+                ),
+                max_size=3,
+            ),
+        ),
+        st.sampled_from([None, [], {"hashtags": "Korrika"}]),
+    ),
+    "retweeted_status": st.one_of(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "id": st.one_of(st.integers(1, 3), HOSTILE_IDS),
+                "user": HOSTILE_USERS,
+                "retweet_count": HOSTILE_COUNTERS,
+            },
+        ),
+        st.sampled_from([None, "x", []]),
+    ),
+    "retweet_count": HOSTILE_COUNTERS,
+    "in_reply_to_screen_name": HOSTILE_NAMES,
+    "coordinates": COORD_CONTAINERS,
+    "geo": COORD_CONTAINERS,
+}
+LAT_LON = st.tuples(st.floats(-90, 90), st.floats(-180, 180))
+
+
+@st.composite
+def hostile_records(draw):
+    """A valid record, then up to three of its fields given hostile values."""
+    record = make_record(
+        id=2,
+        reply_to=draw(st.none() | st.sampled_from(["mikel", "@mikel", "@@mikel "])),
+        coordinates=draw(st.none() | LAT_LON.map(lambda point: point[::-1])),
+        geo=draw(st.none() | LAT_LON),
+        retweet_count=draw(st.none() | st.integers(0, 500)),
+        retweet=draw(st.none() | st.just((1, "bi", 5))),
+    )
+    for name in draw(st.lists(st.sampled_from(sorted(HOSTILE_FIELDS)), max_size=3, unique=True)):
+        record[name] = draw(HOSTILE_FIELDS[name])
+    return record
+
+
+@settings(max_examples=600, deadline=None)
+@given(record=hostile_records())
+@example(record=make_record(geo=(43.26, -2.67)))
+@example(record=make_record(coordinates=(-2.67, 43.26), geo=(10**400, 1)))
+@example(record=make_record(geo=(10**400, 1)))
+@example(record=make_record(geo=(True, 5)))
+@example(record=make_record(retweet_count=True))
+@example(record=make_record(retweet=(2, "bi", False)))
+@example(record=make_record(reply_to="@@mikel "))
+@example(record=make_record(id="²"))
+@example(record=make_record(id=1, retweet=("①", "bi")))
+def test_parse_tweet_matches_the_kept_parser(record):
+    safe, changed = defused(record)
+    expected = outcome(reference_parse_tweet, json.dumps(safe))
+    assert outcome(parse_tweet, json.dumps(record)) == expected
+    before = outcome(reference_parse_tweet, json.dumps(record))
+    # only the two crash classes may part from the reference
+    assert before == expected or (
+        changed and type(before) is tuple and before[0] in ("ValueError", "OverflowError")
+    )
 
 
 # --- timestamps --------------------------------------------------------------

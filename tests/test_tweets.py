@@ -5,6 +5,8 @@ import pytest
 
 from conftest import (
     BASE_TIME,
+    BAD_DIGIT_ID_LINES,
+    DECODER_LIMIT_LINES,
     HOSTILE_LINES,
     make_record,
     make_tweet,
@@ -68,6 +70,8 @@ class TestFieldMapping:
         tweet = parse_tweet(record_line(id=1, id_str="123"))
         assert tweet.id == 1  # numeric id wins when present
         line = json.dumps({**make_record(), "id": "977"})
+        assert parse_tweet(line).id == 977
+        line = json.dumps({**make_record(), "id": "\u0669\u0667\u0667"})  # Arabic-Indic
         assert parse_tweet(line).id == 977
 
     def test_author_at_sign_is_stripped(self):
@@ -202,11 +206,19 @@ class TestParseErrors:
             parse_tweet(b'{"id": 1\xff}')
         assert exc.value.field == "line"
 
-    @pytest.mark.parametrize("line", HOSTILE_LINES.values(), ids=HOSTILE_LINES)
+    @pytest.mark.parametrize("line", DECODER_LIMIT_LINES.values(), ids=DECODER_LIMIT_LINES)
     def test_decoder_limits_are_line_errors(self, line):
         with pytest.raises(ParseError) as exc:
             parse_tweet(line.encode())
         assert exc.value.field == "line"
+
+    @pytest.mark.parametrize(
+        "line,field", BAD_DIGIT_ID_LINES.values(), ids=BAD_DIGIT_ID_LINES
+    )
+    def test_digit_ids_int_cannot_read_are_id_errors(self, line, field):
+        with pytest.raises(ParseError) as exc:
+            parse_tweet(line.encode())
+        assert exc.value.field == field
 
 
 class TestTweetValidation:
@@ -277,6 +289,17 @@ class TestReadArchive:
         tweets, stats = read_archive(write_archive(tmp_path / "a.jsonl", lines))
         assert [t.id for t in tweets] == [1, 2]
         assert (stats.total_lines, stats.parsed, stats.skipped_malformed) == (3, 2, 1)
+
+    def test_coordinate_past_the_float_range_is_absent(self, tmp_path):
+        huge = 10**400  # a JSON integer float() cannot hold
+        lines = [
+            record_line(id=1, coordinates=(huge, 43.26), geo=(43.26, -2.67)),
+            record_line(id=2, geo=(huge, -2.67)),
+            record_line(id=3, coordinates=(-2.67, -huge)),
+        ]
+        tweets, stats = read_archive(write_archive(tmp_path / "a.jsonl", lines))
+        assert [(t.id, t.coords) for t in tweets] == [(1, (43.26, -2.67)), (2, None), (3, None)]
+        assert (stats.total_lines, stats.parsed) == (3, 3)
 
     def test_dedupe_keeps_first(self, tmp_path):
         lines = [
