@@ -9,11 +9,11 @@ across reruns.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import signal
 import sys
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -37,34 +37,6 @@ DEFAULT_DATA_DIR = "./data"
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class GlobalConfig:
-    """Options shared by every subcommand."""
-
-    credentials_path: Path
-    data_dir: Path
-    output_format: str = "table"
-    tz_offset_minutes: int = 0
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.output_format not in ("table", "csv"):
-            raise ValueError(f"unknown output format: {self.output_format!r}")
-        if abs(self.tz_offset_minutes) > analytics.MAX_TZ_OFFSET_MINUTES:
-            raise ValueError(f"tz offset out of range: {self.tz_offset_minutes}")
-
-
-def _config_from_args(args: argparse.Namespace) -> GlobalConfig:
-    credentials = args.credentials or os.environ.get(CONFIG_ENV_VAR) or DEFAULT_CREDENTIALS
-    return GlobalConfig(
-        credentials_path=Path(credentials),
-        data_dir=Path(args.data_dir),
-        output_format=args.format,
-        tz_offset_minutes=args.tz,
-        seed=args.seed,
-    )
-
-
 def _emit_table(headers: list[str], rows: list[list[str]]) -> None:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -75,11 +47,16 @@ def _emit_table(headers: list[str], rows: list[list[str]]) -> None:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
 
 
-def _emit_ranking(entries, config: GlobalConfig, *, user_keys: bool) -> None:
-    if config.output_format == "csv":
-        print("key,score")
-        for entry in entries:
-            print(f"{entry.key},{entry.score}")
+def _emit_csv(headers: list[str], rows) -> None:
+    # made per call so that redirect_stdout reaches it
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+
+
+def _emit_ranking(entries, output_format: str, *, user_keys: bool) -> None:
+    if output_format == "csv":
+        _emit_csv(["key", "score"], ([entry.key, entry.score] for entry in entries))
         return
     if user_keys:
         headers = ["rank", "user", "score"]
@@ -101,17 +78,18 @@ def _squash(text: str, limit: int = 60) -> str:
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_collect(args: argparse.Namespace, config: GlobalConfig) -> int:
+def _cmd_collect(args: argparse.Namespace) -> int:
     job = CollectionJob(
         mode=args.mode,
         event_name=args.event_name,
         track_terms=tuple(args.terms),
-        archive_dir=config.data_dir,
+        archive_dir=Path(args.data_dir),
     )
+    path = args.credentials or os.environ.get(CONFIG_ENV_VAR) or DEFAULT_CREDENTIALS
     credentials = None
     # an explicitly named file must exist and be complete
-    if args.credentials or config.credentials_path.is_file():
-        credentials = load_credentials(config.credentials_path)
+    if args.credentials or Path(path).is_file():
+        credentials = load_credentials(path)
 
     endpoint = args.endpoint
     if endpoint is None:
@@ -172,33 +150,33 @@ def _tcp_address(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _cmd_histogram(args: argparse.Namespace, config: GlobalConfig) -> int:
+def _cmd_histogram(args: argparse.Namespace) -> int:
     tweets, _ = read_archive(args.archive, dedupe=True)
-    tz = args.histogram_tz if args.histogram_tz is not None else config.tz_offset_minutes
+    tz = args.histogram_tz if args.histogram_tz is not None else args.tz
     buckets = analytics.histogram(tweets, args.granularity, tz)
     analytics.write_histogram_dat(buckets, args.output)
     print(f"{len(buckets)} buckets -> {args.output}")
     return 0
 
 
-def _cmd_top_tweets(args: argparse.Namespace, config: GlobalConfig) -> int:
+def _cmd_top_tweets(args: argparse.Namespace) -> int:
     tweets, _ = read_archive(args.file, dedupe=True)
     entries = analytics.top_tweets_by_retweets(tweets, args.k, args.count_source)
-    _emit_ranking(entries, config, user_keys=False)
+    _emit_ranking(entries, args.format, user_keys=False)
     return 0
 
 
-def _cmd_top_users(args: argparse.Namespace, config: GlobalConfig) -> int:
+def _cmd_top_users(args: argparse.Namespace) -> int:
     tweets, _ = read_archive(args.file, dedupe=True)
     if args.by == "activity":
         entries = analytics.top_users_by_activity(tweets, args.k)
     else:
         entries = analytics.top_users_by_received_retweets(tweets, args.k)
-    _emit_ranking(entries, config, user_keys=True)
+    _emit_ranking(entries, args.format, user_keys=True)
     return 0
 
 
-def _cmd_coordinates(args: argparse.Namespace, config: GlobalConfig) -> int:
+def _cmd_coordinates(args: argparse.Namespace) -> int:
     tweets, _ = read_archive(args.archive, dedupe=True)
     rows = analytics.extract_coordinates(tweets)
     analytics.write_coordinates_csv(rows, args.output)
@@ -206,7 +184,7 @@ def _cmd_coordinates(args: argparse.Namespace, config: GlobalConfig) -> int:
     return 0
 
 
-def _cmd_interactions(args: argparse.Namespace, config: GlobalConfig) -> int:
+def _cmd_interactions(args: argparse.Namespace) -> int:
     tweets, _ = read_archive(args.archive, dedupe=True)
     edges = graphs.extract_interactions(tweets)
     g = graphs.aggregate(edges, merge_kinds=args.merge_kinds)
@@ -218,13 +196,11 @@ def _cmd_interactions(args: argparse.Namespace, config: GlobalConfig) -> int:
         f"{len(g.edges)} edges -> {args.output}"
     )
     if args.communities or args.gexf:
-        communities = graphs.label_propagation(g, seed=config.seed)
+        communities = graphs.label_propagation(g, seed=args.seed)
         if args.communities:
             nodes = sorted(communities, key=lambda n: (n.casefold(), n))
-            if config.output_format == "csv":
-                print("node,community")
-                for node in nodes:
-                    print(f"{node},{communities[node]}")
+            if args.format == "csv":
+                _emit_csv(["node", "community"], ([n, communities[n]] for n in nodes))
             else:
                 _emit_table(
                     ["node", "community"],
@@ -236,7 +212,7 @@ def _cmd_interactions(args: argparse.Namespace, config: GlobalConfig) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace, config: GlobalConfig) -> int:
+def _cmd_stats(args: argparse.Namespace) -> int:
     tweets, stats = read_archive(args.archive, dedupe=True)
     print(
         f"{len(tweets)} tweets ({stats.total_lines} lines: {stats.parsed} parsed, "
@@ -336,8 +312,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return args.func(args, config)
+        # for every subcommand, even where histogram's own --tz overrides it
+        if abs(args.tz) > analytics.MAX_TZ_OFFSET_MINUTES:
+            raise ValueError(f"tz offset out of range: {args.tz}")
+        return args.func(args)
     except (ParseError, ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -42,7 +42,6 @@ __all__ = [
     "CollectionStats",
     "ConfigError",
     "Credentials",
-    "ExponentialBackoff",
     "ManualClock",
     "RateLimit",
     "ReplaySource",
@@ -69,6 +68,12 @@ _CREDENTIAL_KEYS = (
 
 # tokens are maximal runs of letters and digits; underscore separates
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+
+# reconnect delays double from the first to the cap; a connection that
+# stayed up this long before dropping starts again from the first
+_BACKOFF_FIRST_S = 1.0
+_BACKOFF_CAP_S = 320.0
+_BACKOFF_HEALTHY_S = 60.0
 
 
 class ConfigError(Exception):
@@ -113,6 +118,7 @@ class CollectionJob:
 class CollectionStats:
     """Counters for one run.
 
+    An empty or whitespace-only line is a keep-alive and never received.
     Every received line lands in exactly one of four counters, so
     ``received = malformed + unmatched + duplicate + written`` and
     ``matched = duplicate + written`` always hold. A line is matched on
@@ -246,38 +252,6 @@ class ManualClock:
 
 def _utc(clock: Clock) -> datetime:
     return datetime.fromtimestamp(clock.now(), tz=timezone.utc)
-
-
-# --- backoff ---------------------------------------------------------------
-
-
-class ExponentialBackoff:
-    """Reconnect delays: 1 s doubling to a 320 s cap.
-
-    A connection that stayed healthy for 60 s or longer earns a reset
-    back to the initial delay.
-    """
-
-    def __init__(
-        self,
-        initial: float = 1.0,
-        factor: float = 2.0,
-        cap: float = 320.0,
-        healthy_reset: float = 60.0,
-    ):
-        self.initial = initial
-        self.factor = factor
-        self.cap = cap
-        self.healthy_reset = healthy_reset
-        self._next = initial
-
-    def next_delay(self) -> float:
-        delay = self._next
-        self._next = min(self._next * self.factor, self.cap)
-        return delay
-
-    def reset(self) -> None:
-        self._next = self.initial
 
 
 # --- sources ---------------------------------------------------------------
@@ -621,6 +595,8 @@ class _LineFilter:
         self._seen: set[int] = set()
 
     def handle(self, raw: bytes) -> None:
+        if not raw.strip():
+            return  # a keep-alive, not a record
         stats = self._stats
         stats.received += 1
         try:
@@ -682,7 +658,7 @@ def collect_stream(
     clock = clock or SystemClock()
     stop = stop if stop is not None else threading.Event()
     stats = stats if stats is not None else CollectionStats()
-    backoff = ExponentialBackoff()
+    delay = _BACKOFF_FIRST_S
     connects = 0
     with _run(job, clock, stats) as pipeline:
         while not stop.is_set():
@@ -696,18 +672,17 @@ def collect_stream(
                 for raw in stream:
                     if stop.is_set():
                         break
-                    if raw.strip():  # a blank line is a keep-alive
-                        pipeline.handle(raw)
+                    pipeline.handle(raw)
                 break
             except StreamDisconnected as exc:
                 if (
                     connected_at is not None
-                    and clock.now() - connected_at >= backoff.healthy_reset
+                    and clock.now() - connected_at >= _BACKOFF_HEALTHY_S
                 ):
-                    backoff.reset()
-                delay = backoff.next_delay()
+                    delay = _BACKOFF_FIRST_S
                 log.info("stream dropped (%s); reconnecting in %.0fs", exc, delay)
                 clock.wait(stop, delay)
+                delay = min(delay * 2, _BACKOFF_CAP_S)
     return stats
 
 
@@ -717,7 +692,6 @@ def collect_search(
     *,
     clock: Clock | None = None,
     stop: threading.Event | None = None,
-    max_pages: int | None = None,
     stats: CollectionStats | None = None,
 ) -> CollectionStats:
     """Run paged search queries until the source is exhausted.
@@ -730,7 +704,6 @@ def collect_search(
         raise ValueError(f"collect_search needs a search mode, got {job.mode!r}")
     clock = clock or SystemClock()
     stats = stats if stats is not None else CollectionStats()
-    pages_taken = 0
     with _run(job, clock, stats) as pipeline:
         for item in source.pages(job.track_terms):
             if stop is not None and stop.is_set():
@@ -743,7 +716,4 @@ def collect_search(
                 continue
             for raw in item:
                 pipeline.handle(raw)
-            pages_taken += 1
-            if max_pages is not None and pages_taken >= max_pages:
-                break
     return stats

@@ -84,10 +84,6 @@ class WeightedGraph:
             degrees[target] = degrees.get(target, 0) + weight
         return degrees
 
-    def weighted_degree(self, node: str) -> int:
-        """In-weight plus out-weight; a self-loop counts on both sides."""
-        return self.weighted_degrees().get(node, 0)
-
     def undirected_adjacency(self) -> dict[str, dict[str, int]]:
         """Neighbor weights with direction and kind collapsed."""
         adjacency: dict[str, dict[str, int]] = {node: {} for node in self.nodes}

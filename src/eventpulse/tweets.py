@@ -200,8 +200,13 @@ def _parse_id(value: object, field_name: str) -> int:
 
 
 def _screen_name(value: object) -> str | None:
-    """A screen name without its leading "@"s and outer blanks, or None."""
-    return (value.lstrip("@").strip() or None) if isinstance(value, str) else None
+    """A screen name without outer blanks or leading "@"s (in any mix), or None."""
+    if not isinstance(value, str):
+        return None
+    name = value.strip()
+    while name.startswith("@"):
+        name = name[1:].lstrip()
+    return name or None
 
 
 def _parse_screen_name(container: object, field_name: str) -> str:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import signal
@@ -75,6 +76,15 @@ class TestExitCodes:
         out = tmp_path / "h.dat"
         code = run(["--tz", "900", "histogram", str(small_archive), str(out)])
         assert code == 1
+        # checked for every subcommand, also where histogram's --tz overrides it
+        for argv in (
+            ["--tz", "900", "stats", str(small_archive)],
+            ["--tz", "900", "histogram", str(small_archive), str(out), "--tz", "0"],
+        ):
+            capsys.readouterr()
+            assert run(argv) == 1
+            assert "tz offset out of range: 900" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_success_is_0(self, small_archive, tmp_path):
         assert run(["histogram", str(small_archive), str(tmp_path / "h.dat")]) == 0
@@ -137,6 +147,27 @@ class TestRankingCommands:
             ]
         )
         assert capsys.readouterr().out.splitlines()[1] == "ane,1"
+
+    def test_csv_stdout_round_trips_through_a_csv_reader(self, tmp_path, capsys):
+        odd = 'a,"b'
+        archive = write_archive(
+            tmp_path / "odd.jsonl",
+            [
+                record_line(id=1, screen_name=odd, created_at=ts(10, 0), reply_to="c"),
+                record_line(id=2, screen_name=odd, created_at=ts(10, 1), text="bi"),
+                record_line(id=3, screen_name="c", created_at=ts(10, 2), text="hiru"),
+            ],
+        )
+        assert run(["--format", "csv", "top-users", "-f", str(archive)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows == [["key", "score"], [odd, "2"], ["c", "1"]]
+
+        edges = tmp_path / "edges.csv"
+        argv = ["--format", "csv", "interactions", str(archive), str(edges), "--communities"]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = list(csv.reader(lines[lines.index("node,community") + 1 :]))
+        assert sorted(node for node, _community in rows) == [odd, "c"]
 
     def test_top_tweets_table(self, small_archive, capsys):
         assert run(["top-tweets", "-f", str(small_archive), "-k", "1"]) == 0

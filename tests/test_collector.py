@@ -14,7 +14,6 @@ from eventpulse.collector import (
     CollectionStats,
     ConfigError,
     Credentials,
-    ExponentialBackoff,
     ManualClock,
     RateLimit,
     ReplaySource,
@@ -209,17 +208,14 @@ class TestClocksAndBackoff:
         SystemClock().wait(stop, 30.0)
         assert time.monotonic() - started < 1.0
 
-    def test_backoff_doubles_to_cap(self):
-        backoff = ExponentialBackoff()
-        delays = [backoff.next_delay() for _ in range(11)]
-        assert delays == [1, 2, 4, 8, 16, 32, 64, 128, 256, 320, 320]
-
-    def test_backoff_reset(self):
-        backoff = ExponentialBackoff()
-        backoff.next_delay()
-        backoff.next_delay()
-        backoff.reset()
-        assert backoff.next_delay() == 1.0
+    def test_backoff_doubles_to_cap(self, tmp_path):
+        # each connection delivers one line and drops at once, 11 times
+        lines = [matching_line(i) for i in range(1, 13)]
+        source = ReplaySource(lines, disconnect_after=range(1, 12))
+        clock = ManualClock()
+        stats = collect_stream(stream_job(tmp_path), source, clock=clock)
+        assert clock.waits == [1, 2, 4, 8, 16, 32, 64, 128, 256, 320, 320]
+        assert (stats.reconnects, stats.written) == (11, 12)
 
 
 class TestReplaySource:
@@ -298,6 +294,15 @@ class TestCollectStream:
         )
         assert (stats.received, stats.malformed, stats.written) == (2, 1, 1)
         assert archive_bytes(tmp_path) == good.encode() + b"\n"
+
+    def test_blank_padded_at_name_does_not_stop_the_run(self, tmp_path):
+        padded = record_line(id=1, text="#peaktime", screen_name=" @ane")
+        good = matching_line(2)
+        stats = collect_stream(
+            stream_job(tmp_path), ReplaySource([padded, good]), clock=ManualClock()
+        )
+        assert (stats.received, stats.malformed, stats.written) == (2, 0, 2)
+        assert archive_bytes(tmp_path) == f"{padded}\n{good}\n".encode()
 
     def test_coordinate_past_the_float_range_does_not_stop_the_run(self, tmp_path):
         huge = record_line(id=1, text="#peaktime", geo=(10**400, -2.67))
@@ -540,15 +545,12 @@ class TestCollectSearch:
         )
         assert stats.written == 2
 
-    def test_max_pages(self, tmp_path):
-        pages = [[matching_line(i)] for i in range(1, 4)]
+    def test_blank_lines_are_ignored(self, tmp_path):
+        pages = [["", matching_line(1)], ["  ", matching_line(2)]]
         stats = collect_search(
-            search_job(tmp_path),
-            ScriptedSearchSource(pages),
-            clock=ManualClock(),
-            max_pages=2,
+            search_job(tmp_path), ScriptedSearchSource(pages), clock=ManualClock()
         )
-        assert stats.written == 2
+        assert (stats.received, stats.malformed, stats.written) == (2, 0, 2)
 
     def test_stop_breaks_between_pages(self, tmp_path):
         stop = threading.Event()
@@ -651,6 +653,14 @@ class TestTcpTransport:
             source = TcpSearchSource(*address, clock=ManualClock())
             with pytest.raises(StreamDisconnected, match=f"3 records, got {records}"):
                 next(source.pages(("x",)))
+
+    def test_search_blank_lines_are_ignored(self, tmp_path):
+        lines = [matching_line(1), "   ", matching_line(2)]
+        clock = ManualClock()
+        with MockStreamServer(lines, page_size=2) as (host, port):
+            source = TcpSearchSource(host, port, clock=clock)
+            stats = collect_search(search_job(tmp_path), source, clock=clock)
+        assert (stats.received, stats.malformed, stats.written) == (2, 0, 2)
 
     def test_search_page_with_a_blank_line(self):
         lines = [matching_line(1), "", matching_line(2)]

@@ -25,7 +25,6 @@ from eventpulse.analytics import (
 from eventpulse.collector import (
     CollectionJob,
     CollectionStats,
-    ExponentialBackoff,
     ManualClock,
     ReplaySource,
     ScriptedSearchSource,
@@ -385,6 +384,36 @@ def defused(record: dict) -> tuple[dict, bool]:
     return record, changed
 
 
+def unhidden(record: dict) -> tuple[dict, bool]:
+    """A copy with each name whose blanks hide more leading "@"s replaced, and whether any was.
+
+    The reference strips "@"s before blanks, so " @ane" and "@ @ane"
+    keep an "@" there (and an author's then crashes Tweet). Such a name
+    becomes itself with every leading blank and "@" and the trailing
+    blanks cut, which the reference reads as the parser must now read
+    the original.
+    """
+    record, changed = json.loads(json.dumps(record)), False
+    embedded = record.get("retweeted_status")
+    for holder, key in (
+        (record.get("user"), "screen_name"),
+        (embedded.get("user") if isinstance(embedded, dict) else None, "screen_name"),
+        (record, "in_reply_to_screen_name"),
+    ):
+        name = holder.get(key) if isinstance(holder, dict) else None
+        if isinstance(name, str) and name.lstrip("@").strip().startswith("@"):
+            holder[key], changed = re.sub(r"^[\s@]+", "", name).rstrip(), True
+    return record, changed
+
+
+def keeps_an_at(result) -> bool:
+    """The reference's outcome for a hidden-"@" name: an "@" kept, or the author crash."""
+    if isinstance(result, Tweet):
+        original = result.retweet_of.original_author if result.retweet_of else ""
+        return original.startswith("@") or (result.reply_to or "").startswith("@")
+    return result[0] == "ValueError" and result[1].startswith("bad author screen name: '@")
+
+
 HOSTILE_NUMBERS = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([MAX_ID, MAX_ID + 1, 10**400, -(10**400)]),
@@ -488,16 +517,21 @@ def hostile_records(draw):
 @example(record=make_record(retweet_count=True))
 @example(record=make_record(retweet=(2, "bi", False)))
 @example(record=make_record(reply_to="@@mikel "))
+@example(record=make_record(screen_name=" @ane", reply_to="@ @mikel", retweet=(1, "\t@bi")))
 @example(record=make_record(id="²"))
 @example(record=make_record(id=1, retweet=("①", "bi")))
 def test_parse_tweet_matches_the_kept_parser(record):
     safe, changed = defused(record)
+    safe, renamed = unhidden(safe)
     expected = outcome(reference_parse_tweet, json.dumps(safe))
     assert outcome(parse_tweet, json.dumps(record)) == expected
     before = outcome(reference_parse_tweet, json.dumps(record))
-    # only the two crash classes may part from the reference
-    assert before == expected or (
-        changed and type(before) is tuple and before[0] in ("ValueError", "OverflowError")
+    # only the two crash classes and the hidden-"@" names may part from
+    # the reference
+    assert (
+        before == expected
+        or (changed and type(before) is tuple and before[0] in ("ValueError", "OverflowError"))
+        or (renamed and keeps_an_at(before))
     )
 
 
@@ -1018,24 +1052,6 @@ def test_filter_matches_parse_then_match_reference(case):
         written = b"".join(path.read_bytes() for path in archives)
     assert (stats.received, stats.matched, stats.written) == counts
     assert written == archive
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    initial=st.floats(0.1, 10),
-    factor=st.floats(1.0, 4.0),
-    cap=st.floats(10, 1000),
-    draws=st.integers(1, 30),
-)
-def test_backoff_delays_are_monotone_and_capped(initial, factor, cap, draws):
-    backoff = ExponentialBackoff(initial=initial, factor=factor, cap=cap)
-    delays = [backoff.next_delay() for _ in range(draws)]
-    assert delays[0] == initial
-    for previous, current in zip(delays, delays[1:]):
-        assert current >= previous
-    assert all(delay <= max(cap, initial) for delay in delays)
-    backoff.reset()
-    assert backoff.next_delay() == initial
 
 
 @settings(max_examples=30, deadline=None)

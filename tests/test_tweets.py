@@ -301,6 +301,17 @@ class TestReadArchive:
         assert [(t.id, t.coords) for t in tweets] == [(1, (43.26, -2.67)), (2, None), (3, None)]
         assert (stats.total_lines, stats.parsed) == (3, 3)
 
+    def test_blank_hidden_at_signs_are_stripped(self, tmp_path):
+        lines = [
+            record_line(id=1, screen_name=" @ane"),
+            record_line(id=2, screen_name="@ @ane", retweet=(1, " @ane"), reply_to="@ @mikel "),
+        ]
+        tweets, stats = read_archive(write_archive(tmp_path / "a.jsonl", lines))
+        assert [t.author for t in tweets] == ["ane", "ane"]
+        assert tweets[1].retweet_of.original_author == "ane"
+        assert tweets[1].reply_to == "mikel"
+        assert (stats.parsed, stats.skipped_malformed) == (2, 0)
+
     def test_dedupe_keeps_first(self, tmp_path):
         lines = [
             record_line(id=1, text="lehena"),
