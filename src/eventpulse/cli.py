@@ -38,6 +38,8 @@ DEFAULT_SEED = 42
 
 
 def _emit_table(headers: list[str], rows: list[list[str]]) -> None:
+    # a line break or tab inside a name would split or skew its row
+    rows = [[" ".join(cell.split()) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -71,6 +73,7 @@ def _emit_ranking(entries, output_format: str, *, user_keys: bool) -> None:
 
 
 def _squash(text: str, limit: int = 60) -> str:
+    # collapsed before it is cut, so the limit counts what is printed
     flat = " ".join(text.split())
     return flat if len(flat) <= limit else flat[: limit - 1] + "…"
 
@@ -86,10 +89,9 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         archive_dir=Path(args.data_dir),
     )
     path = args.credentials or os.environ.get(CONFIG_ENV_VAR) or DEFAULT_CREDENTIALS
-    credentials = None
-    # an explicitly named file must exist and be complete
+    # an explicitly named file must exist and be complete; no endpoint reads it
     if args.credentials or Path(path).is_file():
-        credentials = load_credentials(path)
+        load_credentials(path)
 
     endpoint = args.endpoint
     if endpoint is None:
@@ -111,11 +113,11 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     try:
         if address is not None:
             if job.mode == "stream":
-                source = TcpStreamSource(*address, credentials=credentials)
+                source = TcpStreamSource(*address)
                 stats = collect_stream(job, source, stop)
             else:
                 kind = job.mode.removeprefix("search-")
-                source = TcpSearchSource(*address, kind=kind, credentials=credentials)
+                source = TcpSearchSource(*address, kind=kind)
                 stats = collect_search(job, source, stop=stop)
         else:
             replay = ReplaySource.from_file(endpoint.removeprefix("file://"))
@@ -198,13 +200,12 @@ def _cmd_interactions(args: argparse.Namespace) -> int:
     if args.communities or args.gexf:
         communities = graphs.label_propagation(g, seed=args.seed)
         if args.communities:
-            nodes = sorted(communities, key=lambda n: (n.casefold(), n))
             if args.format == "csv":
-                _emit_csv(["node", "community"], ([n, communities[n]] for n in nodes))
+                _emit_csv(["node", "community"], communities.items())
             else:
                 _emit_table(
                     ["node", "community"],
-                    [[node, str(communities[node])] for node in nodes],
+                    [[node, str(label)] for node, label in communities.items()],
                 )
         if args.gexf:
             graphs.export_gexf(g, communities, args.gexf)

@@ -7,8 +7,9 @@ so a line is filed under the UTC day on which it was received and the
 source connection (for TCP, the socket) is the only buffer: a slow
 disk pushes back on the connection instead of growing memory.
 
-Time only enters through a Clock object (``now``/``wait``), so tests
-drive reconnect backoff and rate-limit pauses with a virtual clock.
+Sources only move bytes; time and stopping belong to the run, and time
+only enters through its Clock (``now``/``wait``), so tests drive
+reconnect backoff and rate-limit pauses with a virtual clock.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 _BACKOFF_FIRST_S = 1.0
 _BACKOFF_CAP_S = 320.0
 _BACKOFF_HEALTHY_S = 60.0
+
+_TCP_TIMEOUT_S = 5.0  # to connect, and for a search page to answer
+_READ_POLL_S = 0.25  # a stream read wakes this often to see a set stop
 
 
 class ConfigError(Exception):
@@ -146,19 +150,24 @@ def load_credentials(path: str | Path) -> Credentials:
     """Read the four credential keys from an INI-style file.
 
     Sections may be named anything; ";" comments are allowed. A missing
-    file or key raises ConfigError naming what is absent.
+    file or key, or a file that is not INI, raises ConfigError naming it.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"credentials file not found: {path}")
-    parser = configparser.ConfigParser()
     text = path.read_text("utf-8")
+    # no interpolation: a "%" in an opaque code is a plain character
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
-    except configparser.MissingSectionHeaderError:
-        # tolerate bare key=value files by wrapping them in a section
-        parser = configparser.ConfigParser()
-        parser.read_string("[credentials]\n" + text)
+        try:
+            parser.read_string(text, source=str(path))
+        except configparser.MissingSectionHeaderError:
+            # tolerate bare key=value files by wrapping them in a section
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.read_string("[credentials]\n" + text, source=str(path))
+    except configparser.Error as exc:
+        # the message names the file; some span lines, so flatten it
+        raise ConfigError(" ".join(str(exc).split())) from exc
     values: dict[str, str] = dict(parser.defaults())
     for section in parser.sections():
         for key, value in parser.items(section):
@@ -205,7 +214,7 @@ def _matches(terms: frozenset[str], hashtags: Iterable[str], text: str) -> bool:
 class Clock(Protocol):
     def now(self) -> float: ...
 
-    def wait(self, stop: threading.Event | None, seconds: float) -> None: ...
+    def wait(self, stop: threading.Event, seconds: float) -> None: ...
 
 
 class SystemClock:
@@ -214,13 +223,8 @@ class SystemClock:
     def now(self) -> float:
         return time.time()
 
-    def wait(self, stop: threading.Event | None, seconds: float) -> None:
-        if seconds <= 0:
-            return
-        if stop is None:
-            time.sleep(seconds)
-        else:
-            stop.wait(seconds)
+    def wait(self, stop: threading.Event, seconds: float) -> None:
+        stop.wait(seconds)  # returns at once for seconds <= 0
 
 
 class ManualClock:
@@ -239,7 +243,7 @@ class ManualClock:
         with self._lock:
             return self._now
 
-    def wait(self, stop: threading.Event | None, seconds: float) -> None:
+    def wait(self, stop: threading.Event, seconds: float) -> None:
         seconds = max(0.0, seconds)
         with self._lock:
             self.waits.append(seconds)
@@ -310,9 +314,9 @@ class ReplaySource:
         self._connected_before = False
 
     @classmethod
-    def from_file(cls, path: str | Path, **kwargs) -> "ReplaySource":
+    def from_file(cls, path: str | Path) -> "ReplaySource":
         with open(path, "rb") as handle:
-            return cls([raw for raw in handle if raw.strip()], **kwargs)
+            return cls([raw for raw in handle if raw.strip()])
 
     def connect(
         self, track_terms: Sequence[str], stop: threading.Event | None = None
@@ -337,9 +341,9 @@ class ReplaySource:
 
 @dataclass(frozen=True)
 class RateLimit:
-    """A source answered "slow down"; resume once reset_at passes."""
+    """A source answered "slow down"; ask again after retry_after seconds."""
 
-    reset_at: float
+    retry_after: float
 
 
 class SearchSource(Protocol):
@@ -382,35 +386,22 @@ class TcpStreamSource:
     while the stream idles.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        connect_timeout: float = 5.0,
-        read_timeout: float = 0.25,
-        credentials: Credentials | None = None,
-    ):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.connect_timeout = connect_timeout
-        self.read_timeout = read_timeout
-        # the replay protocol is unsigned; credentials are accepted for
-        # interface parity with live sources and otherwise unused
-        self.credentials = credentials
 
     def connect(
         self, track_terms: Sequence[str], stop: threading.Event | None = None
     ) -> Iterator[bytes]:
         try:
             sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout
+                (self.host, self.port), timeout=_TCP_TIMEOUT_S
             )
             request = f"GET /stream?track={_track_query(track_terms)} HTTP/1.0\r\n\r\n"
             sock.sendall(request.encode("ascii"))
         except OSError as exc:
             raise StreamDisconnected(f"connect failed: {exc}") from exc
-        sock.settimeout(self.read_timeout)
+        sock.settimeout(_READ_POLL_S)
         return self._read_lines(sock, stop)
 
     @staticmethod
@@ -446,30 +437,17 @@ class TcpSearchSource:
 
     Each page is one request/response exchange; the response starts with
     ``OK <n>`` (then n record lines), ``RATE_LIMIT <retry-after-seconds>``
-    or ``END``. A rate limit is surfaced as RateLimit(reset_at) computed
-    against the caller's clock, and the same page is requested again
-    afterwards. A page whose record count differs from n, a
-    ``RATE_LIMIT`` line without a finite number of seconds, and any
-    other status line (``ERROR <reason>`` included) raise
-    StreamDisconnected.
+    or ``END``. A rate limit is surfaced as RateLimit(retry_after), and
+    the same page is requested again afterwards. A page whose record
+    count differs from n, a ``RATE_LIMIT`` line without a finite number
+    of seconds, and any other status line (``ERROR <reason>`` included)
+    raise StreamDisconnected.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        kind: str = "recent",
-        timeout: float = 5.0,
-        clock: Clock | None = None,
-        credentials: Credentials | None = None,
-    ):
+    def __init__(self, host: str, port: int, *, kind: str = "recent"):
         self.host = host
         self.port = port
         self.kind = kind
-        self.timeout = timeout
-        self.clock = clock or SystemClock()
-        self.credentials = credentials
 
     def pages(
         self, track_terms: Sequence[str]
@@ -486,7 +464,7 @@ class TcpSearchSource:
                     retry_after = math.nan
                 if not math.isfinite(retry_after):
                     raise StreamDisconnected(f"bad rate-limit status line: {status!r}")
-                yield RateLimit(reset_at=self.clock.now() + retry_after)
+                yield RateLimit(retry_after)
                 continue  # retry the same page once the caller waited
             fields = status.split()
             if len(fields) != 2 or fields[0] != b"OK" or not fields[1].isdigit():
@@ -507,7 +485,7 @@ class TcpSearchSource:
         )
         try:
             with socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
+                (self.host, self.port), timeout=_TCP_TIMEOUT_S
             ) as sock:
                 sock.sendall(request.encode("ascii"))
                 blob = b""
@@ -697,22 +675,25 @@ def collect_search(
     """Run paged search queries until the source is exhausted.
 
     Matching results are archived exactly as in collect_stream. A
-    RateLimit answer pauses the run until the indicated reset time and
-    is counted in ``stats.rate_limit_waits``.
+    RateLimit answer pauses the run's clock for its ``retry_after``
+    seconds and counts in ``stats.rate_limit_waits``. Stop is checked
+    before each item is asked for, so a set stop sends no more requests.
     """
     if job.mode not in ("search-recent", "search-popular"):
         raise ValueError(f"collect_search needs a search mode, got {job.mode!r}")
     clock = clock or SystemClock()
+    stop = stop if stop is not None else threading.Event()
     stats = stats if stats is not None else CollectionStats()
     with _run(job, clock, stats) as pipeline:
-        for item in source.pages(job.track_terms):
-            if stop is not None and stop.is_set():
+        pages = source.pages(job.track_terms)
+        while not stop.is_set():
+            item = next(pages, None)
+            if item is None:
                 break
             if isinstance(item, RateLimit):
                 stats.rate_limit_waits += 1
-                delay = item.reset_at - clock.now()
-                log.info("rate limited; sleeping %.1fs", max(0.0, delay))
-                clock.wait(stop, delay)
+                log.info("rate limited; sleeping %.1fs", max(0.0, item.retry_after))
+                clock.wait(stop, item.retry_after)
                 continue
             for raw in item:
                 pipeline.handle(raw)

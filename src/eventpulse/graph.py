@@ -178,8 +178,9 @@ def label_propagation(
     adopts the label with the largest summed incident weight, ties
     going to the smallest label. Stops at a fixpoint or after
     ``max_iters`` sweeps. Labels are renumbered 0..C-1 in order of
-    first appearance over the sorted node list, and a community can
-    never span two connected components.
+    first appearance over the node list sorted by ``(casefold, name)``,
+    the order the returned dict keeps, and a community can never span
+    two connected components.
     """
     nodes = sorted(graph.nodes, key=_name_order)
     if not nodes:

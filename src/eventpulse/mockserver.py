@@ -58,7 +58,6 @@ class MockStreamServer:
         page_size: int = 100,
         rate_limit_pages: Iterable[int] = (),
         rate_limit_retry_after: float = 2.0,
-        host: str = "127.0.0.1",
     ):
         self._replay = ReplaySource(
             lines, disconnect_after=disconnect_after, rewind=rewind_on_reconnect
@@ -67,7 +66,6 @@ class MockStreamServer:
         self._page_size = page_size
         self._rate_limit_pages = set(rate_limit_pages)
         self._rate_limit_retry_after = rate_limit_retry_after
-        self._host = host
 
         self._rate_limited_served: set[int] = set()
         self._stop = threading.Event()
@@ -82,7 +80,7 @@ class MockStreamServer:
     def start(self) -> tuple[str, int]:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, 0))
+        sock.bind(("127.0.0.1", 0))
         sock.listen(8)
         sock.settimeout(0.1)
         self._sock = sock

@@ -431,7 +431,7 @@ def test_criterion_3_collector_resilience(tmp_path):
             watcher.start()
             collect_stream(
                 job,
-                TcpStreamSource(host, port, read_timeout=0.05),
+                TcpStreamSource(host, port),
                 stop,
                 clock=clock,
                 stats=stats,
@@ -461,7 +461,7 @@ def test_criterion_3_collector_resilience(tmp_path):
                 archive_dir=tmp_path,
             )
             stats = collect_search(
-                job, TcpSearchSource(host, port, clock=clock), clock=clock
+                job, TcpSearchSource(host, port), clock=clock
             )
         finally:
             server.stop()

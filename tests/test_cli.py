@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import signal
@@ -168,6 +169,42 @@ class TestRankingCommands:
         lines = capsys.readouterr().out.splitlines()
         rows = list(csv.reader(lines[lines.index("node,community") + 1 :]))
         assert sorted(node for node, _community in rows) == [odd, "c"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["top-users"],
+            ["top-users", "--by", "retweets"],
+            ["top-tweets"],
+            ["interactions", "--communities"],
+        ],
+    )
+    def test_table_row_stays_on_one_line(self, tmp_path, capsys, argv):
+        # a line break or tab inside a name is printed as one space
+        archive = write_archive(
+            tmp_path / "odd.jsonl",
+            [
+                record_line(id=1, screen_name="a\nb", created_at=ts(10, 0), text="bat"),
+                record_line(
+                    id=2, screen_name="d\te", created_at=ts(10, 1),
+                    text="RT @x: bat", retweet=(1, "a\nb"),
+                ),
+                record_line(id=3, screen_name="d\te", created_at=ts(10, 2), reply_to="a\nb"),
+            ],
+        )
+        if argv[0] == "interactions":
+            argv = [argv[0], str(archive), str(tmp_path / "edges.csv"), *argv[1:]]
+        else:
+            argv = [argv[0], "-f", str(archive), *argv[1:]]
+        assert run(["--format", "csv", *argv]) == 0
+        csv_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert run(argv) == 0
+        table = capsys.readouterr().out.splitlines()
+        if argv[0] == "interactions":
+            csv_rows, table = csv_rows[1:], table[1:]  # the summary line
+        assert len(table) == len(csv_rows)
+        assert not any("\t" in line for line in table)
+        assert any("a b" in line for line in table)
 
     def test_top_tweets_table(self, small_archive, capsys):
         assert run(["top-tweets", "-f", str(small_archive), "-k", "1"]) == 0
@@ -402,6 +439,32 @@ class TestCollectCommand:
         )
         assert code == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("consumer_key = a%b\nconsumer_secret = b\naccess_token = c\n"
+             "access_token_secret = d\n", 0),
+            ("consumer_key = a\nconsumer_key = b\n", 1),
+            ("consumer_key = a\njunk\n", 1),
+        ],
+        ids=["percent", "duplicate-key", "line-without-equals"],
+    )
+    def test_credentials_file_is_read_without_a_traceback(
+        self, tmp_path, capsys, text, code
+    ):
+        creds = tmp_path / "creds.ini"
+        creds.write_text(text)
+        src = write_archive(tmp_path / "src.jsonl", self.source_lines())
+        argv = ["--credentials", str(creds), "--data-dir", str(tmp_path / "data"),
+                "collect", "stream", "proba", "#proba", "--endpoint", str(src)]
+        assert run(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            [message] = err
+            assert message.startswith("error:") and str(creds) in message
+        else:
+            assert err == []
 
     @pytest.mark.parametrize("port", ["0", "65536", "70000", "-1", "abc", ""])
     def test_bad_endpoint_port_fails_before_connecting(self, tmp_path, port):

@@ -130,6 +130,25 @@ class TestCredentials:
         with pytest.raises(ConfigError, match="not found"):
             load_credentials(tmp_path / "nope.ini")
 
+    def test_percent_is_a_plain_character(self, tmp_path):
+        path = tmp_path / "twitter.ini"
+        path.write_text(self.GOOD.replace("= cs", "= c%s%"))
+        assert load_credentials(path).consumer_secret == "c%s%"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[twitter]\nconsumer_key = a\nconsumer_key = b\n",  # duplicate key
+            "[twitter]\nconsumer_key\n",  # a line without "="
+        ],
+        ids=["duplicate-key", "line-without-equals"],
+    )
+    def test_bad_ini_names_the_file(self, tmp_path, text):
+        path = tmp_path / "twitter.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_credentials(path)
+
 
 class TestCollectionJob:
     def test_bad_mode(self, tmp_path):
@@ -521,7 +540,7 @@ class TestCollectSearch:
     def test_rate_limit_pauses_then_resumes(self, tmp_path):
         clock = ManualClock()
         script = [
-            RateLimit(reset_at=clock.now() + 30.0),
+            RateLimit(30.0),
             [matching_line(i) for i in range(1, 6)],
         ]
         stats = collect_search(
@@ -588,7 +607,7 @@ class TestTcpTransport:
         stop = threading.Event()
         stats = CollectionStats()
         with server as (host, port):
-            source = TcpStreamSource(host, port, read_timeout=0.02)
+            source = TcpStreamSource(host, port)
 
             def halt_when_done():
                 server.exhausted.wait(timeout=20)
@@ -618,7 +637,7 @@ class TestTcpTransport:
         )
         clock = ManualClock()
         with server as (host, port):
-            source = TcpSearchSource(host, port, kind="recent", clock=clock)
+            source = TcpSearchSource(host, port, kind="recent")
             stats = collect_search(search_job(tmp_path), source, clock=clock)
         assert stats.written == 100
         assert stats.rate_limit_waits == 1
@@ -626,12 +645,43 @@ class TestTcpTransport:
         assert any("kind=recent" in request for request in server.requests)
         assert any("page=2" in request for request in server.requests)
 
+    def test_rate_limit_waits_on_the_run_clock(self, tmp_path):
+        # the source only passes on the seconds; the run's clock alone
+        # decides how long that is
+        lines = [matching_line(i) for i in range(1, 5)]
+        server = MockStreamServer(
+            lines, page_size=2, rate_limit_pages=[1], rate_limit_retry_after=2.0
+        )
+        clock = ManualClock()
+        with server as (host, port):
+            collect_search(search_job(tmp_path), TcpSearchSource(host, port), clock=clock)
+        assert clock.waits == [2.0]
+
+    def test_stop_during_rate_limit_wait_sends_no_request(self, tmp_path):
+        class StoppingClock(ManualClock):
+            def wait(self, stop, seconds):
+                super().wait(stop, seconds)
+                stop.set()
+
+        lines = [matching_line(i) for i in range(1, 5)]
+        server = MockStreamServer(lines, page_size=2, rate_limit_pages=[1])
+        with server as (host, port):
+            stats = collect_search(
+                search_job(tmp_path),
+                TcpSearchSource(host, port),
+                clock=StoppingClock(),
+                stop=threading.Event(),
+            )
+        pages = [re.search(r"page=(\d+)", request)[1] for request in server.requests]
+        assert pages == ["0", "1"]
+        assert stats.written == 2
+
     @pytest.mark.parametrize(
         "status", [b"RATE_LIMIT", b"RATE_LIMIT soon", b"RATE_LIMIT nan"]
     )
     def test_rate_limit_without_seconds_is_a_disconnect(self, status):
         with _answer_once(status + b"\n") as address:
-            source = TcpSearchSource(*address, clock=ManualClock())
+            source = TcpSearchSource(*address)
             with pytest.raises(StreamDisconnected, match="RATE_LIMIT"):
                 next(source.pages(("x",)))
 
@@ -642,7 +692,7 @@ class TestTcpTransport:
     def test_status_other_than_ok_is_a_disconnect(self, status):
         # one next() bounds the loop: the old client took any line as a page
         with _answer_once(status + b"\n") as address:
-            source = TcpSearchSource(*address, clock=ManualClock())
+            source = TcpSearchSource(*address)
             with pytest.raises(StreamDisconnected, match=re.escape(repr(status))):
                 next(source.pages(("x",)))
 
@@ -650,7 +700,7 @@ class TestTcpTransport:
     def test_page_must_hold_the_announced_records(self, records):
         body = b"".join(b'{"id": %d}\n' % i for i in range(1, records + 1))
         with _answer_once(b"OK 3\n" + body) as address:
-            source = TcpSearchSource(*address, clock=ManualClock())
+            source = TcpSearchSource(*address)
             with pytest.raises(StreamDisconnected, match=f"3 records, got {records}"):
                 next(source.pages(("x",)))
 
@@ -658,14 +708,14 @@ class TestTcpTransport:
         lines = [matching_line(1), "   ", matching_line(2)]
         clock = ManualClock()
         with MockStreamServer(lines, page_size=2) as (host, port):
-            source = TcpSearchSource(host, port, clock=clock)
+            source = TcpSearchSource(host, port)
             stats = collect_search(search_job(tmp_path), source, clock=clock)
         assert (stats.received, stats.malformed, stats.written) == (2, 0, 2)
 
     def test_search_page_with_a_blank_line(self):
         lines = [matching_line(1), "", matching_line(2)]
         with MockStreamServer(lines, page_size=2) as (host, port):
-            source = TcpSearchSource(host, port, clock=ManualClock())
+            source = TcpSearchSource(host, port)
             assert list(source.pages(("x",))) == [
                 [lines[0].encode()], [lines[2].encode()]
             ]
@@ -685,7 +735,7 @@ class TestTcpTransport:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        source = TcpStreamSource("127.0.0.1", port, connect_timeout=0.5)
+        source = TcpStreamSource("127.0.0.1", port)
         with pytest.raises(StreamDisconnected):
             source.connect(("x",))
 

@@ -178,6 +178,7 @@ class TestLabelPropagation:
         communities = label_propagation(graph)
         assert communities["a"] == communities["b"]
         assert communities["loner"] != communities["a"]
+        assert list(communities) == sorted(graph.nodes, key=lambda n: (n.casefold(), n))
 
     def test_disjoint_triangles_split(self):
         graph = undirected({**triangle("a", "b", "c", 1), **triangle("d", "e", "f", 1)})
