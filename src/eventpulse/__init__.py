@@ -13,15 +13,12 @@ from .analytics import (
 from .collector import (
     CollectionJob,
     CollectionStats,
-    ConfigError,
-    Credentials,
     RateLimit,
     ReplaySource,
     ScriptedSearchSource,
     StreamDisconnected,
     collect_search,
     collect_stream,
-    load_credentials,
     matches_track,
 )
 from .graph import (
@@ -42,8 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CollectionJob",
     "CollectionStats",
-    "ConfigError",
-    "Credentials",
     "HistogramBucket",
     "InteractionEdge",
     "ParseError",
@@ -67,7 +62,6 @@ __all__ = [
     "histogram",
     "import_edges_csv",
     "label_propagation",
-    "load_credentials",
     "matches_track",
     "notable_subgraph",
     "parse_tweet",

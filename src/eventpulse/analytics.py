@@ -16,7 +16,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .tweets import Tweet
+from .tweets import Tweet, _name_order
 
 __all__ = [
     "HistogramBucket",
@@ -129,7 +129,7 @@ def observed_retweet_counts(tweets: Iterable[Tweet]) -> Counter:
 
 def _rank_users(counts: Counter, k: int) -> list[RankedEntry]:
     # ties: descending score, then case-insensitive name
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].casefold(), kv[0]))
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], *_name_order(kv[0])))
     return [
         RankedEntry(key=name, score=score, rank=position)
         for position, (name, score) in enumerate(ordered[:k], start=1)

@@ -1,7 +1,7 @@
 """Command line front end: collect archives and run the analytics.
 
 Exit codes: 0 on success, 1 on operational failures (missing files,
-bad archives, config problems; message on stderr), 2 on usage errors.
+bad archives, bad endpoints; message on stderr), 2 on usage errors.
 With a fixed seed every subcommand writes byte-identical output files
 across reruns.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import signal
 import sys
 import threading
@@ -20,19 +19,15 @@ from typing import Sequence
 from . import analytics, graph as graphs
 from .collector import (
     CollectionJob,
-    ConfigError,
     ReplaySource,
     ScriptedSearchSource,
     TcpSearchSource,
     TcpStreamSource,
     collect_search,
     collect_stream,
-    load_credentials,
 )
 from .tweets import ParseError, read_archive
 
-CONFIG_ENV_VAR = "EVENTPULSE_CONFIG"
-DEFAULT_CREDENTIALS = "./twitter.ini"
 DEFAULT_DATA_DIR = "./data"
 DEFAULT_SEED = 42
 
@@ -88,11 +83,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         track_terms=tuple(args.terms),
         archive_dir=Path(args.data_dir),
     )
-    path = args.credentials or os.environ.get(CONFIG_ENV_VAR) or DEFAULT_CREDENTIALS
-    # an explicitly named file must exist and be complete; no endpoint reads it
-    if args.credentials or Path(path).is_file():
-        load_credentials(path)
-
     endpoint = args.endpoint
     if endpoint is None:
         print(
@@ -149,6 +139,9 @@ def _tcp_address(endpoint: str) -> tuple[str, int]:
         host = host[1:-1]
     elif ":" in host:
         raise ValueError(f"bad endpoint {endpoint!r}: an IPv6 host must be in brackets")
+    # an empty host never resolves, so the run would reconnect until stopped
+    if not host:
+        raise ValueError(f"bad endpoint {endpoint!r}: no host")
     return host, int(port)
 
 
@@ -236,12 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eventpulse",
         description="Collect keyword-filtered posts and analyze an event archive.",
     )
-    parser.add_argument(
-        "--credentials",
-        metavar="PATH",
-        default=None,
-        help=f"credentials INI (default {DEFAULT_CREDENTIALS}, env {CONFIG_ENV_VAR})",
-    )
     parser.add_argument("--data-dir", metavar="DIR", default=DEFAULT_DATA_DIR)
     parser.add_argument("--format", choices=("table", "csv"), default="table")
     parser.add_argument("--tz", type=int, default=0, metavar="MINUTES")
@@ -317,7 +304,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if abs(args.tz) > analytics.MAX_TZ_OFFSET_MINUTES:
             raise ValueError(f"tz offset out of range: {args.tz}")
         return args.func(args)
-    except (ParseError, ConfigError, OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

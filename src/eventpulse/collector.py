@@ -14,7 +14,6 @@ reconnect backoff and rate-limit pauses with a virtual clock.
 
 from __future__ import annotations
 
-import configparser
 import logging
 import math
 import os
@@ -41,8 +40,6 @@ from .tweets import (
 __all__ = [
     "CollectionJob",
     "CollectionStats",
-    "ConfigError",
-    "Credentials",
     "ManualClock",
     "RateLimit",
     "ReplaySource",
@@ -53,19 +50,12 @@ __all__ = [
     "TcpStreamSource",
     "collect_search",
     "collect_stream",
-    "load_credentials",
     "matches_track",
 ]
 
 log = logging.getLogger(__name__)
 
 _EVENT_NAME = re.compile(r"^[A-Za-z0-9_-]+$")
-_CREDENTIAL_KEYS = (
-    "consumer_key",
-    "consumer_secret",
-    "access_token",
-    "access_token_secret",
-)
 
 # tokens are maximal runs of letters and digits; underscore separates
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -80,22 +70,8 @@ _TCP_TIMEOUT_S = 5.0  # to connect, and for a search page to answer
 _READ_POLL_S = 0.25  # a stream read wakes this often to see a set stop
 
 
-class ConfigError(Exception):
-    """Bad or missing collector configuration."""
-
-
 class StreamDisconnected(ConnectionError):
     """The source connection dropped; the run should reconnect."""
-
-
-@dataclass(frozen=True)
-class Credentials:
-    """The four opaque API codes the live platform hands out."""
-
-    consumer_key: str
-    consumer_secret: str
-    access_token: str
-    access_token_secret: str
 
 
 @dataclass(frozen=True)
@@ -144,38 +120,6 @@ class CollectionStats:
     rate_limit_waits: int = 0
     started_at: datetime | None = None
     ended_at: datetime | None = None
-
-
-def load_credentials(path: str | Path) -> Credentials:
-    """Read the four credential keys from an INI-style file.
-
-    Sections may be named anything; ";" comments are allowed. A missing
-    file or key, or a file that is not INI, raises ConfigError naming it.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"credentials file not found: {path}")
-    text = path.read_text("utf-8")
-    # no interpolation: a "%" in an opaque code is a plain character
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        try:
-            parser.read_string(text, source=str(path))
-        except configparser.MissingSectionHeaderError:
-            # tolerate bare key=value files by wrapping them in a section
-            parser = configparser.ConfigParser(interpolation=None)
-            parser.read_string("[credentials]\n" + text, source=str(path))
-    except configparser.Error as exc:
-        # the message names the file; some span lines, so flatten it
-        raise ConfigError(" ".join(str(exc).split())) from exc
-    values: dict[str, str] = dict(parser.defaults())
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            values.setdefault(key, value)
-    for key in _CREDENTIAL_KEYS:
-        if not values.get(key, "").strip():
-            raise ConfigError(f"missing credential key: {key}")
-    return Credentials(*(values[key].strip() for key in _CREDENTIAL_KEYS))
 
 
 def matches_track(tweet: Tweet, track_terms: Sequence[str]) -> bool:
@@ -230,12 +174,12 @@ class SystemClock:
 class ManualClock:
     """Deterministic clock for tests and replays.
 
-    now() stands still except that wait() advances it by the requested
-    delay and records the delay in ``waits``.
+    now() starts at 1e9 and stands still except that wait() advances it
+    by the requested delay and records the delay in ``waits``.
     """
 
-    def __init__(self, start: float = 1_000_000_000.0):
-        self._now = start
+    def __init__(self):
+        self._now = 1_000_000_000.0
         self._lock = threading.Lock()
         self.waits: list[float] = []
 

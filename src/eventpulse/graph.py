@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import random
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .tweets import Tweet
+from .tweets import Tweet, _name_order
 
 __all__ = [
     "KIND_REPLY",
@@ -36,6 +37,12 @@ KIND_RETWEET = "retweet"
 KIND_REPLY = "reply"
 
 GEXF_NAMESPACE = "http://www.gexf.net/1.2draft"
+
+# C0 controls but tab, LF and CR, lone surrogates, U+FFFE and U+FFFF:
+# XML 1.0 cannot carry them, not even as character references
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+_MAX_SWEEPS = 100  # label propagation stops here if it has not settled
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,10 +146,6 @@ def aggregate(
     return graph
 
 
-def _name_order(name: str) -> tuple[str, str]:
-    return (name.casefold(), name)
-
-
 def notable_subgraph(graph: WeightedGraph, top_n: int = 50) -> WeightedGraph:
     """Keep the top_n nodes by weighted degree and the edges among them.
 
@@ -168,16 +171,14 @@ def notable_subgraph(graph: WeightedGraph, top_n: int = 50) -> WeightedGraph:
     )
 
 
-def label_propagation(
-    graph: WeightedGraph, seed: int = 42, max_iters: int = 100
-) -> dict[str, int]:
+def label_propagation(graph: WeightedGraph, seed: int = 42) -> dict[str, int]:
     """Deterministic weighted label propagation over the undirected graph.
 
     Every node starts with its own label; sweeps visit nodes in an
     order reshuffled by a generator seeded with ``seed``, and each node
     adopts the label with the largest summed incident weight, ties
     going to the smallest label. Stops at a fixpoint or after
-    ``max_iters`` sweeps. Labels are renumbered 0..C-1 in order of
+    ``_MAX_SWEEPS`` (100) sweeps. Labels are renumbered 0..C-1 in order of
     first appearance over the node list sorted by ``(casefold, name)``,
     the order the returned dict keeps, and a community can never span
     two connected components.
@@ -194,7 +195,7 @@ def label_propagation(
     labels = list(range(len(nodes)))
     order = list(range(len(nodes)))
     rng = random.Random(seed)
-    for _sweep in range(max_iters):
+    for _sweep in range(_MAX_SWEEPS):
         rng.shuffle(order)
         changed = False
         for i in order:
@@ -282,11 +283,15 @@ def export_gexf(
     Edge weights ride on the standard ``weight`` edge attribute; when
     the graph still distinguishes interaction kinds, a string "kind"
     edge attribute is declared and filled. Output is fully sorted, so
-    equal inputs produce identical bytes.
+    equal inputs produce identical bytes. A node name that XML 1.0
+    cannot carry raises ValueError before the file is opened.
     """
     missing = graph.nodes - communities.keys()
     if missing:
         raise ValueError(f"no community for node(s): {sorted(missing)[:3]}")
+    unwritable = sorted(node for node in graph.nodes if _NOT_XML_CHAR.search(node))
+    if unwritable:
+        raise ValueError(f"node name(s) XML 1.0 cannot hold: {unwritable[:3]}")
     with_kind = any(key[2] is not None for key in graph.edges)
 
     ET.register_namespace("", GEXF_NAMESPACE)

@@ -209,6 +209,11 @@ def _screen_name(value: object) -> str | None:
     return name or None
 
 
+def _name_order(name: str) -> tuple[str, str]:
+    """Sort key for names: case-insensitively first, then by exact name."""
+    return (name.casefold(), name)
+
+
 def _parse_screen_name(container: object, field_name: str) -> str:
     if isinstance(container, dict) and (name := _screen_name(container.get("screen_name"))):
         return name

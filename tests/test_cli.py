@@ -19,7 +19,7 @@ from eventpulse.mockserver import MockStreamServer
 def collect_child(tmp_path: Path, endpoint: str) -> tuple[list[str], dict]:
     """argv and environment of `eventpulse collect stream` as a child process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {key: value for key, value in os.environ.items() if key != "EVENTPULSE_CONFIG"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [
         sys.executable, "-c",
@@ -261,6 +261,21 @@ class TestInteractionsCommand:
         assert "2 interactions" in stdout
         assert "gexf ->" in stdout
 
+    def test_gexf_name_xml_cannot_hold_fails_without_a_file(self, tmp_path, capsys):
+        archive = write_archive(
+            tmp_path / "a.jsonl",
+            [
+                record_line(id=1, screen_name="ane"),
+                record_line(id=2, screen_name="un\u0001ai", reply_to="ane"),
+            ],
+        )
+        gexf = tmp_path / "g.gexf"
+        edges = tmp_path / "e.csv"
+        assert run(["interactions", str(archive), str(edges), "--gexf", str(gexf)]) == 1
+        [message] = capsys.readouterr().err.splitlines()
+        assert message.startswith("error:") and "un\\x01ai" in message
+        assert not gexf.exists()
+
     def test_merged_kinds(self, small_archive, tmp_path):
         out = tmp_path / "edges.csv"
         run(["interactions", str(small_archive), str(out), "--merge-kinds"])
@@ -393,79 +408,6 @@ class TestCollectCommand:
         assert code == 1
         assert "endpoint" in capsys.readouterr().err
 
-    def test_env_var_credentials_are_honored(self, tmp_path, capsys, monkeypatch):
-        bad = tmp_path / "creds.ini"
-        bad.write_text("[twitter]\nconsumer_key = ck\n")
-        monkeypatch.setenv("EVENTPULSE_CONFIG", str(bad))
-        src = write_archive(tmp_path / "src.jsonl", self.source_lines())
-        code = run(
-            [
-                "--data-dir",
-                str(tmp_path / "data"),
-                "collect",
-                "stream",
-                "proba",
-                "#proba",
-                "--endpoint",
-                str(src),
-            ]
-        )
-        assert code == 1
-        assert "missing credential key" in capsys.readouterr().err
-
-    def test_explicit_credentials_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        bad = tmp_path / "bad.ini"
-        bad.write_text("[twitter]\nconsumer_key = ck\n")
-        good = tmp_path / "good.ini"
-        good.write_text(
-            "[twitter]\nconsumer_key = a\nconsumer_secret = b\n"
-            "access_token = c\naccess_token_secret = d\n"
-        )
-        monkeypatch.setenv("EVENTPULSE_CONFIG", str(bad))
-        src = write_archive(tmp_path / "src.jsonl", self.source_lines())
-        code = run(
-            [
-                "--credentials",
-                str(good),
-                "--data-dir",
-                str(tmp_path / "data"),
-                "collect",
-                "stream",
-                "proba",
-                "#proba",
-                "--endpoint",
-                str(src),
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-
-    @pytest.mark.parametrize(
-        "text, code",
-        [
-            ("consumer_key = a%b\nconsumer_secret = b\naccess_token = c\n"
-             "access_token_secret = d\n", 0),
-            ("consumer_key = a\nconsumer_key = b\n", 1),
-            ("consumer_key = a\njunk\n", 1),
-        ],
-        ids=["percent", "duplicate-key", "line-without-equals"],
-    )
-    def test_credentials_file_is_read_without_a_traceback(
-        self, tmp_path, capsys, text, code
-    ):
-        creds = tmp_path / "creds.ini"
-        creds.write_text(text)
-        src = write_archive(tmp_path / "src.jsonl", self.source_lines())
-        argv = ["--credentials", str(creds), "--data-dir", str(tmp_path / "data"),
-                "collect", "stream", "proba", "#proba", "--endpoint", str(src)]
-        assert run(argv) == code
-        err = capsys.readouterr().err.splitlines()
-        if code:
-            [message] = err
-            assert message.startswith("error:") and str(creds) in message
-        else:
-            assert err == []
-
     @pytest.mark.parametrize("port", ["0", "65536", "70000", "-1", "abc", ""])
     def test_bad_endpoint_port_fails_before_connecting(self, tmp_path, port):
         # a child process under a timeout: an unchecked port could make the
@@ -480,6 +422,35 @@ class TestCollectCommand:
         [message] = done.stderr.splitlines()
         assert message.startswith("error:") and endpoint in message
         assert not (tmp_path / "data").exists()  # no run was started
+
+    @pytest.mark.parametrize("endpoint", ["tcp://:9", "tcp://[]:9"])
+    def test_empty_host_fails_before_connecting(self, tmp_path, endpoint):
+        # an empty host never resolves: unchecked, the run reconnects forever
+        argv, env = collect_child(tmp_path, endpoint)
+        done = subprocess.run(
+            argv, capture_output=True, text=True, timeout=20, cwd=tmp_path, env=env
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        [message] = done.stderr.splitlines()
+        assert message == f"error: bad endpoint {endpoint!r}: no host"
+        assert not (tmp_path / "data").exists()
+
+    def test_credentials_files_are_not_read(self, tmp_path, capsys, monkeypatch):
+        # no endpoint signs its requests, so a broken credentials file in
+        # the working directory or named by the environment changes nothing
+        (tmp_path / "twitter.ini").write_text("consumer_key = a\njunk\n")
+        broken = tmp_path / "elsewhere.ini"
+        broken.write_text("[twitter]\nconsumer_key = a\nconsumer_key = b\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("EVENTPULSE_CONFIG", str(broken))
+        src = write_archive(tmp_path / "src.jsonl", [record_line(id=1, text="#proba")])
+        argv = ["--data-dir", str(tmp_path / "data"),
+                "collect", "stream", "proba", "#proba", "--endpoint", str(src)]
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == "received 1, matched 1, written 1, reconnects 0\n"
+        assert err == ""
 
     def test_bracketed_ipv6_endpoint_is_reached(self, tmp_path):
         try:

@@ -12,8 +12,6 @@ from eventpulse.collector import (
     ArchiveWriter,
     CollectionJob,
     CollectionStats,
-    ConfigError,
-    Credentials,
     ManualClock,
     RateLimit,
     ReplaySource,
@@ -24,7 +22,6 @@ from eventpulse.collector import (
     TcpStreamSource,
     collect_search,
     collect_stream,
-    load_credentials,
     matches_track,
 )
 from eventpulse.mockserver import MockStreamServer
@@ -84,70 +81,6 @@ def assert_every_line_counted_once(stats: CollectionStats) -> None:
         stats.malformed + stats.unmatched + stats.duplicate + stats.written
     )
     assert stats.matched == stats.duplicate + stats.written
-
-
-class TestCredentials:
-    GOOD = (
-        "[twitter]\n"
-        "; replay credentials, not real ones\n"
-        "consumer_key = ck\n"
-        "consumer_secret = cs\n"
-        "access_token = at\n"
-        "access_token_secret = ats\n"
-    )
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "twitter.ini"
-        path.write_text(self.GOOD)
-        assert load_credentials(path) == Credentials("ck", "cs", "at", "ats")
-
-    def test_section_header_is_optional(self, tmp_path):
-        path = tmp_path / "twitter.ini"
-        path.write_text("\n".join(self.GOOD.splitlines()[1:]))
-        assert load_credentials(path).consumer_key == "ck"
-
-    def test_key_case_is_forgiven(self, tmp_path):
-        path = tmp_path / "twitter.ini"
-        path.write_text(self.GOOD.upper().replace("[TWITTER]", "[twitter]"))
-        assert load_credentials(path).access_token == "AT"
-
-    def test_missing_key_is_named(self, tmp_path):
-        path = tmp_path / "twitter.ini"
-        path.write_text(
-            "[twitter]\nconsumer_key = ck\nconsumer_secret = cs\n"
-            "access_token_secret = ats\n"
-        )
-        with pytest.raises(ConfigError, match="access_token"):
-            load_credentials(path)
-
-    def test_blank_value_counts_as_missing(self, tmp_path):
-        path = tmp_path / "twitter.ini"
-        path.write_text(self.GOOD.replace("access_token = at", "access_token ="))
-        with pytest.raises(ConfigError, match="access_token"):
-            load_credentials(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            load_credentials(tmp_path / "nope.ini")
-
-    def test_percent_is_a_plain_character(self, tmp_path):
-        path = tmp_path / "twitter.ini"
-        path.write_text(self.GOOD.replace("= cs", "= c%s%"))
-        assert load_credentials(path).consumer_secret == "c%s%"
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "[twitter]\nconsumer_key = a\nconsumer_key = b\n",  # duplicate key
-            "[twitter]\nconsumer_key\n",  # a line without "="
-        ],
-        ids=["duplicate-key", "line-without-equals"],
-    )
-    def test_bad_ini_names_the_file(self, tmp_path, text):
-        path = tmp_path / "twitter.ini"
-        path.write_text(text)
-        with pytest.raises(ConfigError, match=re.escape(str(path))):
-            load_credentials(path)
 
 
 class TestCollectionJob:

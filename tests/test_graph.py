@@ -394,6 +394,25 @@ class TestGexf:
         with pytest.raises(ValueError):
             export_gexf(graph, {"a": 0}, tmp_path / "graph.gexf")
 
+    @pytest.mark.parametrize(
+        "char",
+        ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"],
+    )
+    def test_name_xml_cannot_hold_is_rejected_before_writing(self, tmp_path, char):
+        graph = undirected({(f"n{i}{char}", "b"): 1 for i in range(5)})
+        out = tmp_path / "graph.gexf"
+        with pytest.raises(ValueError, match="XML 1.0") as raised:
+            export_gexf(graph, label_propagation(graph), out)
+        # up to three of the offending names, escaped as repr() shows them
+        assert str(raised.value).count(repr(char)[1:-1]) == 3
+        assert not out.exists()
+
+    def test_tab_and_line_breaks_in_names_stay_valid(self, tmp_path, gexf_checker):
+        graph = undirected({("a\tb", "c\nd"): 1, ("c\nd", "e\rf"): 1})
+        out = tmp_path / "graph.gexf"
+        export_gexf(graph, label_propagation(graph), out)
+        assert gexf_checker(out) == []
+
     def test_empty_graph_is_still_valid(self, tmp_path, gexf_checker):
         out = tmp_path / "graph.gexf"
         export_gexf(WeightedGraph(), {}, out)
