@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import signal
 import sys
 import threading
@@ -39,16 +40,21 @@ def _emit_table(headers: list[str], rows: list[list[str]]) -> None:
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    print("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    lines = [
+        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() + "\n"
+        for row in [headers, *rows]
+    ]
+    # one write of the whole text: what stdout cannot encode (a lone
+    # surrogate in a name) fails it before any row is printed
+    sys.stdout.write("".join(lines))
 
 
 def _emit_csv(headers: list[str], rows) -> None:
-    # made per call so that redirect_stdout reaches it
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
     writer.writerow(headers)
     writer.writerows(rows)
+    sys.stdout.write(text.getvalue())  # one write, as in _emit_table
 
 
 def _emit_ranking(entries, output_format: str, *, user_keys: bool) -> None:

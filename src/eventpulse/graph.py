@@ -41,6 +41,8 @@ GEXF_NAMESPACE = "http://www.gexf.net/1.2draft"
 # C0 controls but tab, LF and CR, lone surrogates, U+FFFE and U+FFFF:
 # XML 1.0 cannot carry them, not even as character references
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# lone surrogates: the only str characters UTF-8 cannot encode
+_NOT_UTF8_CHAR = re.compile("[\ud800-\udfff]")
 
 _MAX_SWEEPS = 100  # label propagation stops here if it has not settled
 
@@ -233,13 +235,22 @@ def _sorted_edge_items(graph: WeightedGraph) -> list[tuple[EdgeKey, int]]:
     )
 
 
+def _check_names(graph: WeightedGraph, unwritable: re.Pattern, format_name: str) -> None:
+    """Raise ValueError naming up to three nodes with a character ``format_name`` cannot hold."""
+    bad = sorted(node for node in graph.nodes if unwritable.search(node))
+    if bad:
+        raise ValueError(f"node name(s) {format_name} cannot hold: {bad[:3]}")
+
+
 def export_edges_csv(graph: WeightedGraph, path: str | Path) -> None:
     """Write "Source,Target,Weight[,Kind]" rows; Kind is omitted when merged.
 
     Fields are quoted only when they need it. The row order is the
     sorted edge order, so identical graphs always produce identical
-    bytes.
+    bytes. A node name that UTF-8 cannot encode raises ValueError
+    before the file is opened.
     """
+    _check_names(graph, _NOT_UTF8_CHAR, "UTF-8")
     with_kind = any(key[2] is not None for key in graph.edges)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -289,9 +300,7 @@ def export_gexf(
     missing = graph.nodes - communities.keys()
     if missing:
         raise ValueError(f"no community for node(s): {sorted(missing)[:3]}")
-    unwritable = sorted(node for node in graph.nodes if _NOT_XML_CHAR.search(node))
-    if unwritable:
-        raise ValueError(f"node name(s) XML 1.0 cannot hold: {unwritable[:3]}")
+    _check_names(graph, _NOT_XML_CHAR, "XML 1.0")
     with_kind = any(key[2] is not None for key in graph.edges)
 
     ET.register_namespace("", GEXF_NAMESPACE)

@@ -41,12 +41,15 @@ _MONTHS = {
     )
 }
 # The exact 30-character spelling of _CLASSIC_FORMAT: names in the
-# platform's case, zero-padded ASCII fields, offset minutes 00-59.
+# platform's case, zero-padded ASCII fields, offset minutes 00-59. A
+# match fixes where each field sits, so the fields are read by slice,
+# and a two-digit field by table, which costs less than int().
 _CLASSIC_LAYOUT = re.compile(
-    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (" + "|".join(_MONTHS) + ") "
-    r"(\d\d) (\d\d):(\d\d):(\d\d) ([+-])(\d\d)([0-5]\d) (\d{4})",
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (?:" + "|".join(_MONTHS) + ") "
+    r"\d\d \d\d:\d\d:\d\d [+-]\d\d[0-5]\d \d{4}",
     re.ASCII,
 )
+_TWO_DIGITS = {f"{number:02d}": number for number in range(100)}
 _HASHTAG = re.compile(r"#(\w+)")
 
 
@@ -104,7 +107,8 @@ class Tweet:
             raise ValueError("created_at must be timezone-aware")
         if not self.author or self.author.startswith("@"):
             raise ValueError(f"bad author screen name: {self.author!r}")
-        object.__setattr__(self, "hashtags", tuple(self.hashtags))
+        if type(self.hashtags) is not tuple:
+            object.__setattr__(self, "hashtags", tuple(self.hashtags))
         if self.retweet_of is not None:
             if self.retweet_of.original_tweet_id == self.id:
                 raise ValueError("retweet cannot reference itself")
@@ -112,7 +116,8 @@ class Tweet:
             lat, lon = self.coords
             if not _on_globe(lat, lon):
                 raise ValueError(f"coordinates out of range: {self.coords!r}")
-            object.__setattr__(self, "coords", (float(lat), float(lon)))
+            if not (type(self.coords) is tuple and type(lat) is float and type(lon) is float):
+                object.__setattr__(self, "coords", (float(lat), float(lon)))
 
 
 @dataclass
@@ -127,22 +132,18 @@ class ParseStats:
 
 def _classic_stamp(value: str) -> datetime | None:
     """The aware datetime of an exact classic stamp, or None to fall back."""
-    match = _CLASSIC_LAYOUT.fullmatch(value)
-    if match is None:
+    if _CLASSIC_LAYOUT.fullmatch(value) is None:
         return None
-    month, day, hour, minute, second, sign, off_hours, off_minutes, year = (
-        match.groups()
-    )
-    offset = int(off_hours) * 60 + int(off_minutes)
     try:
-        tz = (
-            timezone.utc
-            if offset == 0
-            else timezone(timedelta(minutes=-offset if sign == "-" else offset))
-        )
+        if value[21:25] == "0000":  # +0000 or -0000
+            tz = timezone.utc
+        else:
+            offset = _TWO_DIGITS[value[21:23]] * 60 + _TWO_DIGITS[value[23:25]]
+            tz = timezone(timedelta(minutes=-offset if value[20] == "-" else offset))
         return datetime(
-            int(year), _MONTHS[month], int(day),
-            int(hour), int(minute), int(second), tzinfo=tz,
+            int(value[26:]), _MONTHS[value[4:7]], _TWO_DIGITS[value[8:10]],
+            _TWO_DIGITS[value[11:13]], _TWO_DIGITS[value[14:16]], _TWO_DIGITS[value[17:19]],
+            tzinfo=tz,
         )
     except ValueError:  # Feb 30, second 60, offset of 24 h or more, year 0
         return None
@@ -159,21 +160,33 @@ def _parse_timestamp(value: object) -> datetime:
     zero-padded ASCII digits, offset minutes 00-59) is decoded by
     fixed layout without ``strptime``; every other spelling takes the
     ``strptime`` -> ``fromisoformat`` path, and both paths give the same
-    datetime or the same error. As in ``strptime``, the weekday is not
-    checked against the date. Raises ParseError("created_at") for a
+    datetime or the same error. A stamp that starts with a digit skips
+    ``strptime``, which cannot read it. As in ``strptime``, the weekday
+    is not checked against the date. A stamp that comes out already in
+    ``timezone.utc`` without microseconds (offset ``+0000``, ``-0000``,
+    ``Z`` or ``+00:00``) is returned as it is; any other is converted
+    to UTC and cut to the second. Raises ParseError("created_at") for a
     non-string, a blank or unparseable string, or a stamp whose UTC
     time falls outside years 1-9999.
     """
     if not isinstance(value, str) or not value.strip():
         raise ParseError("created_at", f"expected a timestamp string, got {value!r}")
-    try:
-        stamp = _classic_stamp(value) or datetime.strptime(value, _CLASSIC_FORMAT)
-    except ValueError:
+    stamp = _classic_stamp(value)
+    # no weekday name starts with a digit, so strptime cannot read a
+    # stamp that does (ISO-8601) and is not tried on it
+    if stamp is None and not value[0].isdigit():
+        try:
+            stamp = datetime.strptime(value, _CLASSIC_FORMAT)
+        except ValueError:
+            pass
+    if stamp is None:
         iso = value[:-1] + "+00:00" if value.endswith("Z") else value
         try:
             stamp = datetime.fromisoformat(iso)
         except ValueError:
             raise ParseError("created_at", f"unparseable timestamp: {value!r}") from None
+    if stamp.tzinfo is timezone.utc and not stamp.microsecond:
+        return stamp
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     try:
@@ -185,6 +198,8 @@ def _parse_timestamp(value: object) -> datetime:
 def _parse_id(value: object, field_name: str) -> int:
     # ids may arrive as JSON numbers or as decimal digit strings; unlike
     # isdigit(), isdecimal() takes only digits int() reads (not "²" or "①")
+    if type(value) is int and 0 < value <= MAX_ID:
+        return value
     if isinstance(value, bool):
         raise ParseError(field_name, f"expected an integer id, got {value!r}")
     if isinstance(value, str) and value.isdecimal():
@@ -245,17 +260,17 @@ def _point(container: object, lat_at: int) -> tuple[float, float] | None:
     return (float(lat), float(lon)) if numbers and _on_globe(lat, lon) else None
 
 
-def _parse_coords(record: dict) -> tuple[float, float] | None:
+def _parse_coords(geojson: object, legacy: object) -> tuple[float, float] | None:
     """(latitude, longitude) from GeoJSON ``coordinates``, else legacy ``geo``.
 
     GeoJSON stores [longitude, latitude], ``geo`` [latitude, longitude].
     A pair that is short, not two JSON numbers or off the globe is absent.
     """
-    return _point(record.get("coordinates"), 1) or _point(record.get("geo"), 0)
+    return _point(geojson, 1) or _point(legacy, 0)
 
 
-def _parse_retweet(record: dict, tweet_id: int) -> tuple[RetweetRef | None, int | None]:
-    embedded = record.get("retweeted_status")
+def _parse_retweet(embedded: object, tweet_id: int) -> tuple[RetweetRef | None, int | None]:
+    """The reference and counter of a ``retweeted_status`` value, or (None, None)."""
     if not isinstance(embedded, dict):
         # "RT @..." text prefixes do not count; only the embedded object does
         return None, None
@@ -277,7 +292,7 @@ def _decode_record(line: str | bytes) -> dict:
     """
     if isinstance(line, (bytes, bytearray)):
         try:
-            line = bytes(line).decode("utf-8")
+            line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError("line", "not valid UTF-8") from exc
     try:
@@ -304,14 +319,14 @@ def _text_and_hashtags(record: dict) -> tuple[str, tuple[str, ...]]:
         text = ""
     entities = record.get("entities")
     if isinstance(entities, dict) and isinstance(entities.get("hashtags"), list):
-        return text, tuple(
+        return text, tuple([
             item["text"].lower()
             for item in entities["hashtags"]
             if isinstance(item, dict)
             and isinstance(item.get("text"), str)
             and item["text"]
-        )
-    return text, tuple(match.group(1).lower() for match in _HASHTAG.finditer(text))
+        ])
+    return text, tuple([match.group(1).lower() for match in _HASHTAG.finditer(text)])
 
 
 def _build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
@@ -320,23 +335,27 @@ def _build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
     ``text`` and ``hashtags`` are ``_text_and_hashtags(record)``, which the
     caller may already hold. Raises ParseError naming the first bad field,
     checked in the order id, created_at, user.screen_name, retweeted_status.
+    An optional field that is absent or null is read as absent without a
+    call to its reader; any other value goes through the reader.
     """
-    tweet_id = _parse_id(record.get("id"), "id")
-    created_at = _parse_timestamp(record.get("created_at"))
-    author = _parse_screen_name(record.get("user"), "user.screen_name")
-    retweet_of, retweet_count = _parse_retweet(record, tweet_id)
+    get = record.get
+    tweet_id = _parse_id(get("id"), "id")
+    created_at = _parse_timestamp(get("created_at"))
+    author = _parse_screen_name(get("user"), "user.screen_name")
+    retweet_of = retweet_count = None
+    embedded = get("retweeted_status")
+    if embedded is not None:
+        retweet_of, retweet_count = _parse_retweet(embedded, tweet_id)
     if retweet_of is None:
-        retweet_count = _counter(record.get("retweet_count"))
+        retweet_count = _counter(get("retweet_count"))
+    reply_to = get("in_reply_to_screen_name")
+    if reply_to is not None:
+        reply_to = _screen_name(reply_to)
+    geojson, legacy = get("coordinates"), get("geo")
+    coords = None if geojson is None and legacy is None else _parse_coords(geojson, legacy)
+    # by position, in field order: keywords cost more per call
     return Tweet(
-        id=tweet_id,
-        created_at=created_at,
-        author=author,
-        text=text,
-        hashtags=hashtags,
-        retweet_of=retweet_of,
-        reply_to=_screen_name(record.get("in_reply_to_screen_name")),
-        coords=_parse_coords(record),
-        retweet_count=retweet_count,
+        tweet_id, created_at, author, text, hashtags, retweet_of, reply_to, coords, retweet_count
     )
 
 
@@ -360,21 +379,27 @@ def read_archive(
     later occurrences of an id are dropped and counted.
     """
     tweets: list[Tweet] = []
-    stats = ParseStats()
+    total_lines = malformed = duplicates = 0
     seen: set[int] = set()
     with open(path, "rb") as handle:
         for raw in handle:
-            stats.total_lines += 1
+            total_lines += 1
             try:
-                tweet = parse_tweet(raw.rstrip(b"\r\n"))
+                record = _decode_record(raw.rstrip(b"\r\n"))
+                text, hashtags = _text_and_hashtags(record)
+                tweet = _build_tweet(record, text, hashtags)
             except ParseError:
-                stats.skipped_malformed += 1
+                malformed += 1
                 continue
             if dedupe:
                 if tweet.id in seen:
-                    stats.duplicates_dropped += 1
+                    duplicates += 1
                     continue
                 seen.add(tweet.id)
             tweets.append(tweet)
-            stats.parsed += 1
-    return tweets, stats
+    return tweets, ParseStats(
+        total_lines=total_lines,
+        parsed=len(tweets),
+        skipped_malformed=malformed,
+        duplicates_dropped=duplicates,
+    )

@@ -312,6 +312,54 @@ class TestInteractionsCommand:
         assert run(["interactions", str(small_archive), str(out), "--top", "0"]) == 1
 
 
+class TestUnencodableNames:
+    """A name with a lone surrogate (valid JSON "\\ud800") fails a command whole."""
+
+    @pytest.fixture
+    def archive(self, tmp_path):
+        # json.dumps keeps the surrogate as the escape \ud800, which parses
+        lines = [
+            json.dumps(make_record(id=1, screen_name="ane", created_at=ts(10, 0))),
+            json.dumps(make_record(
+                id=2, screen_name="un\ud800ai", created_at=ts(10, 1), reply_to="ane",
+            )),
+            json.dumps(make_record(
+                id=3, screen_name="ane", created_at=ts(10, 2), retweet=(2, "un\ud800ai"),
+            )),
+        ]
+        return write_archive(tmp_path / "odd.jsonl", lines)
+
+    @staticmethod
+    def assert_failed_whole(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["top-users"],
+            ["--format", "csv", "top-users"],
+            ["top-users", "--by", "retweets"],
+            ["--format", "csv", "top-users", "--by", "retweets"],
+            ["top-tweets"],  # its csv holds tweet ids, not names
+        ],
+    )
+    def test_ranking_prints_nothing(self, archive, capsys, argv):
+        assert run([*argv, "-f", str(archive)]) == 1
+        self.assert_failed_whole(capsys)
+
+    @pytest.mark.parametrize("communities", [False, True])
+    def test_interactions_creates_no_file(self, archive, tmp_path, capsys, communities):
+        edges, gexf = tmp_path / "edges.csv", tmp_path / "graph.gexf"
+        extra = ["--communities", "--gexf", str(gexf)] if communities else []
+        assert run(["interactions", str(archive), str(edges), *extra]) == 1
+        self.assert_failed_whole(capsys)
+        assert not edges.exists()
+        assert not gexf.exists()
+
+
 class TestStatsCommand:
     def test_empty_archive(self, tmp_path, capsys):
         archive = write_archive(tmp_path / "empty.jsonl", [])

@@ -316,6 +316,21 @@ class TestEdgeCsv:
         assert b'"ha,na",b,1\n' in out.read_bytes()
         assert import_edges_csv(out).nodes == {"ha,na", "b"}
 
+    @pytest.mark.parametrize("char", ["\ud800", "\udfff"])
+    def test_name_utf8_cannot_hold_is_rejected_before_writing(self, tmp_path, char):
+        graph = undirected({(f"n{i}{char}", "b"): 1 for i in range(5)})
+        out = tmp_path / "edges.csv"
+        with pytest.raises(ValueError, match="UTF-8") as raised:
+            export_edges_csv(graph, out)
+        assert str(raised.value).count(repr(char)[1:-1]) == 3
+        assert not out.exists()
+
+    def test_controls_xml_cannot_hold_are_still_written(self, tmp_path):
+        graph = undirected({("a\x01", "b\ufffe"): 1})
+        out = tmp_path / "edges.csv"
+        export_edges_csv(graph, out)
+        assert import_edges_csv(out).nodes == {"a\x01", "b\ufffe"}
+
     def test_round_trip(self, tmp_path):
         graph = aggregate(
             [

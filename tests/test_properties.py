@@ -48,6 +48,7 @@ from eventpulse.graph import (
 from eventpulse.tweets import (
     MAX_ID,
     ParseError,
+    ParseStats,
     RetweetRef,
     Tweet,
     _decode_record,
@@ -535,6 +536,265 @@ def test_parse_tweet_matches_the_kept_parser(record):
     )
 
 
+# parse_tweet as it was before the builder's per-line cost was cut: the
+# decode, timestamp and record rules verbatim, names prefixed "kept", with
+# only Tweet shared. Kept as the reference; it must agree exactly.
+KEPT_CLASSIC_FORMAT = "%a %b %d %H:%M:%S %z %Y"
+KEPT_MONTHS = {
+    name: number
+    for number, name in enumerate(
+        "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), start=1
+    )
+}
+# The exact 30-character spelling of KEPT_CLASSIC_FORMAT: names in the
+# platform's case, zero-padded ASCII fields, offset minutes 00-59.
+KEPT_CLASSIC_LAYOUT = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (" + "|".join(KEPT_MONTHS) + ") "
+    r"(\d\d) (\d\d):(\d\d):(\d\d) ([+-])(\d\d)([0-5]\d) (\d{4})",
+    re.ASCII,
+)
+KEPT_HASHTAG = re.compile(r"#(\w+)")
+
+
+def kept_classic_stamp(value: str) -> datetime | None:
+    match = KEPT_CLASSIC_LAYOUT.fullmatch(value)
+    if match is None:
+        return None
+    month, day, hour, minute, second, sign, off_hours, off_minutes, year = (
+        match.groups()
+    )
+    offset = int(off_hours) * 60 + int(off_minutes)
+    try:
+        tz = (
+            timezone.utc
+            if offset == 0
+            else timezone(timedelta(minutes=-offset if sign == "-" else offset))
+        )
+        return datetime(
+            int(year), KEPT_MONTHS[month], int(day),
+            int(hour), int(minute), int(second), tzinfo=tz,
+        )
+    except ValueError:  # Feb 30, second 60, offset of 24 h or more, year 0
+        return None
+
+
+def kept_parse_timestamp(value: object) -> datetime:
+    if not isinstance(value, str) or not value.strip():
+        raise ParseError("created_at", f"expected a timestamp string, got {value!r}")
+    try:
+        stamp = kept_classic_stamp(value) or datetime.strptime(value, KEPT_CLASSIC_FORMAT)
+    except ValueError:
+        iso = value[:-1] + "+00:00" if value.endswith("Z") else value
+        try:
+            stamp = datetime.fromisoformat(iso)
+        except ValueError:
+            raise ParseError("created_at", f"unparseable timestamp: {value!r}") from None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    try:
+        return stamp.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError:
+        raise ParseError("created_at", f"timestamp out of range: {value!r}") from None
+
+
+def kept_parse_id(value: object, field_name: str) -> int:
+    # ids may arrive as JSON numbers or as decimal digit strings; unlike
+    # isdigit(), isdecimal() takes only digits int() reads (not "²" or "①")
+    if isinstance(value, bool):
+        raise ParseError(field_name, f"expected an integer id, got {value!r}")
+    if isinstance(value, str) and value.isdecimal():
+        try:
+            value = int(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(field_name, "id has too many digits") from None
+    if not isinstance(value, int):
+        raise ParseError(field_name, f"missing or non-integer id: {value!r}")
+    if not 0 < value <= MAX_ID:
+        raise ParseError(field_name, f"id out of unsigned 64-bit range: {value}")
+    return value
+
+
+def kept_screen_name(value: object) -> str | None:
+    if not isinstance(value, str):
+        return None
+    name = value.strip()
+    while name.startswith("@"):
+        name = name[1:].lstrip()
+    return name or None
+
+
+def kept_parse_screen_name(container: object, field_name: str) -> str:
+    if isinstance(container, dict) and (name := kept_screen_name(container.get("screen_name"))):
+        return name
+    raise ParseError(field_name, "missing screen name")
+
+
+def kept_counter(value: object) -> int | None:
+    return value if type(value) is int and value >= 0 else None
+
+
+def kept_on_globe(lat: float, lon: float) -> bool:
+    return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
+
+
+def kept_point(container: object, lat_at: int) -> tuple[float, float] | None:
+    if not isinstance(container, dict):
+        return None
+    pair = container.get("coordinates")
+    if not isinstance(pair, (list, tuple)) or len(pair) < 2:
+        return None
+    lat, lon = pair[lat_at], pair[1 - lat_at]
+    numbers = type(lat) in (int, float) and type(lon) in (int, float)  # bools are not
+    return (float(lat), float(lon)) if numbers and kept_on_globe(lat, lon) else None
+
+
+def kept_parse_coords(record: dict) -> tuple[float, float] | None:
+    return kept_point(record.get("coordinates"), 1) or kept_point(record.get("geo"), 0)
+
+
+def kept_parse_retweet(record: dict, tweet_id: int) -> tuple[RetweetRef | None, int | None]:
+    embedded = record.get("retweeted_status")
+    if not isinstance(embedded, dict):
+        # "RT @..." text prefixes do not count; only the embedded object does
+        return None, None
+    original_id = kept_parse_id(embedded.get("id"), "retweeted_status.id")
+    if original_id == tweet_id:
+        raise ParseError("retweeted_status.id", "retweet references itself")
+    original_author = kept_parse_screen_name(
+        embedded.get("user"), "retweeted_status.user.screen_name"
+    )
+    return RetweetRef(original_id, original_author), kept_counter(embedded.get("retweet_count"))
+
+
+def kept_decode_record(line: str | bytes) -> dict:
+    if isinstance(line, (bytes, bytearray)):
+        try:
+            line = bytes(line).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("line", "not valid UTF-8") from exc
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError("line", f"not valid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ParseError("line", "JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise ParseError("line", f"not valid JSON ({exc})") from exc
+    if not isinstance(record, dict):
+        raise ParseError("line", "record is not a JSON object")
+    return record
+
+
+def kept_text_and_hashtags(record: dict) -> tuple[str, tuple[str, ...]]:
+    text = record.get("text")
+    if not isinstance(text, str):
+        text = ""
+    entities = record.get("entities")
+    if isinstance(entities, dict) and isinstance(entities.get("hashtags"), list):
+        return text, tuple(
+            item["text"].lower()
+            for item in entities["hashtags"]
+            if isinstance(item, dict)
+            and isinstance(item.get("text"), str)
+            and item["text"]
+        )
+    return text, tuple(match.group(1).lower() for match in KEPT_HASHTAG.finditer(text))
+
+
+def kept_build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
+    tweet_id = kept_parse_id(record.get("id"), "id")
+    created_at = kept_parse_timestamp(record.get("created_at"))
+    author = kept_parse_screen_name(record.get("user"), "user.screen_name")
+    retweet_of, retweet_count = kept_parse_retweet(record, tweet_id)
+    if retweet_of is None:
+        retweet_count = kept_counter(record.get("retweet_count"))
+    return Tweet(
+        id=tweet_id,
+        created_at=created_at,
+        author=author,
+        text=text,
+        hashtags=hashtags,
+        retweet_of=retweet_of,
+        reply_to=kept_screen_name(record.get("in_reply_to_screen_name")),
+        coords=kept_parse_coords(record),
+        retweet_count=retweet_count,
+    )
+
+
+def kept_parse_tweet(line):
+    record = kept_decode_record(line)
+    return kept_build_tweet(record, *kept_text_and_hashtags(record))
+
+
+def exact(parse, line):
+    """The Tweet and its repr (so 1 and 1.0 differ), or a ParseError's field and message."""
+    try:
+        tweet = parse(line)
+    except ParseError as exc:
+        return ("ParseError", exc.field, str(exc))
+    return tweet, repr(tweet)
+
+
+@settings(max_examples=600, deadline=None)
+@given(record=hostile_records())
+@example(record=make_record(retweeted_status=None))
+@example(record=make_record(retweeted_status="x"))
+@example(record=make_record(retweeted_status=[]))
+@example(record=make_record(retweeted_status=0))
+@example(record=make_record(reply_to=""))
+@example(record=make_record(reply_to=5))
+@example(record={**make_record(geo=(43.26, -2.67)), "coordinates": None})
+@example(record=make_record(created_at="2015-03-19T10:05:00.500000Z", coordinates=(-2, 43)))
+def test_parse_tweet_matches_the_kept_copy_exactly(record):
+    line = json.dumps(record)
+    assert exact(parse_tweet, line) == exact(kept_parse_tweet, line)
+    assert exact(parse_tweet, line.encode()) == exact(kept_parse_tweet, line.encode())
+
+
+def fold(lines, dedupe):
+    """parse_tweet over each line, first occurrence of an id kept when deduping."""
+    tweets, seen, stats = [], set(), ParseStats()
+    for line in lines:
+        stats.total_lines += 1
+        try:
+            tweet = parse_tweet(line)
+        except ParseError:
+            stats.skipped_malformed += 1
+            continue
+        if dedupe and tweet.id in seen:
+            stats.duplicates_dropped += 1
+            continue
+        seen.add(tweet.id)
+        tweets.append(tweet)
+        stats.parsed += 1
+    return tweets, stats
+
+
+# valid records whose ids repeat, hostile records, then blank, broken,
+# non-object, non-UTF-8 and BOM-led lines
+ARCHIVE_LINES = st.one_of(
+    st.builds(lambda i: record_line(id=i).encode(), st.integers(1, 4)),
+    hostile_records().map(lambda record: json.dumps(record).encode()),
+    st.sampled_from([
+        b"", b"  ", b"{oops", b"[1, 2]",
+        record_line(id=3).encode().replace(b"kaixo", b"ka\xffxo"),
+        "\ufeff".encode() + record_line(id=4).encode(),
+    ]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.tuples(ARCHIVE_LINES, st.sampled_from([b"\n", b"\r\n"])), max_size=25))
+def test_read_archive_is_the_per_line_fold(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.jsonl"
+        path.write_bytes(b"".join(line + end for line, end in lines))
+        for dedupe in (False, True):
+            tweets, stats = read_archive(path, dedupe=dedupe)
+            expected, expected_stats = fold([line for line, _ in lines], dedupe)
+            assert (tweets, repr(tweets), stats) == (expected, repr(expected), expected_stats)
+
+
 # --- timestamps --------------------------------------------------------------
 
 WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -623,6 +883,14 @@ def near_miss_stamps(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(classic_fields().map(classic), near_miss_stamps()))
+@example("Thu Mar 19 10:05:00 +0000 2015")
+@example("Thu Mar 19 10:05:00 -0000 2015")
+@example("2015-03-19T10:05:00Z")
+@example("2015-03-19T10:05:00+00:00")
+@example("2015-03-19T10:05:00.500000Z")  # microseconds still dropped
+@example("Thu Dec 31 23:30:00 -0100 2015")  # 2016 in UTC
+@example("Thu Mar 19 10:05:00 +1000 2015")
+@example("0Thu Mar 19 10:05:00 +0000 2015")  # a leading digit skips strptime
 def test_timestamp_fast_path_matches_strptime_chain(stamp):
     expected = reference_parse_timestamp(stamp)
     if expected is None:

@@ -244,6 +244,19 @@ class TestTweetValidation:
         tweet = make_tweet(1, hashtags=["a", "b"])  # type: ignore[arg-type]
         assert tweet.hashtags == ("a", "b")
 
+    @pytest.mark.parametrize("coords", [(1, 2), [1, 2], (1.0, 2), [1.0, 2.0]])
+    def test_coords_end_up_as_a_tuple_of_floats(self, coords):
+        tweet = make_tweet(1, coords=coords)
+        assert type(tweet.coords) is tuple
+        assert [type(x) for x in tweet.coords] == [float, float]
+        assert tweet.coords == (1.0, 2.0)
+
+    def test_float_pairs_and_tag_tuples_come_back_unchanged(self):
+        coords, hashtags = (43.26, -2.67), ("a", "b")
+        tweet = make_tweet(1, coords=coords, hashtags=hashtags)
+        assert tweet.coords is coords
+        assert tweet.hashtags is hashtags
+
     def test_instances_are_hashable_and_frozen(self):
         tweet = make_tweet(1)
         assert tweet in {tweet}
