@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on operational failures (missing files,
 bad archives, bad endpoints; message on stderr), 2 on usage errors.
-With a fixed seed every subcommand writes byte-identical output files
-across reruns.
+Each analysis command reads its archive once, in ``run``, and then
+renders from the tweets and parse stats of that read. With a fixed
+seed every subcommand writes byte-identical output files across reruns.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Sequence
 
 from . import analytics, graph as graphs
 from .collector import (
+    MODES,
     CollectionJob,
     ReplaySource,
     ScriptedSearchSource,
@@ -27,7 +29,7 @@ from .collector import (
     collect_search,
     collect_stream,
 )
-from .tweets import ParseError, read_archive
+from .tweets import ParseError, ParseStats, Tweet, read_archive
 
 DEFAULT_DATA_DIR = "./data"
 DEFAULT_SEED = 42
@@ -82,22 +84,25 @@ def _squash(text: str, limit: int = 60) -> str:
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_collect(args: argparse.Namespace) -> int:
+def _cmd_collect(args: argparse.Namespace) -> None:
     job = CollectionJob(
-        mode=args.mode,
-        event_name=args.event_name,
-        track_terms=tuple(args.terms),
-        archive_dir=Path(args.data_dir),
+        args.mode, args.event_name, tuple(args.terms), Path(args.data_dir)
     )
     endpoint = args.endpoint
     if endpoint is None:
-        print(
-            "error: no endpoint; pass --endpoint tcp://HOST:PORT or --endpoint FILE",
-            file=sys.stderr,
-        )
-        return 1
-
-    address = _tcp_address(endpoint) if endpoint.startswith("tcp://") else None
+        raise ValueError("no endpoint; pass --endpoint tcp://HOST:PORT or --endpoint FILE")
+    stream = job.mode == "stream"
+    if not endpoint.startswith("tcp://"):
+        source = ReplaySource.from_file(endpoint.removeprefix("file://"))
+        if not stream:
+            lines = source.lines
+            pages = [lines[i : i + 100] for i in range(0, len(lines), 100)]
+            source = ScriptedSearchSource(pages)
+    elif stream:
+        source = TcpStreamSource(*_tcp_address(endpoint))
+    else:
+        kind = job.mode.removeprefix("search-")
+        source = TcpSearchSource(*_tcp_address(endpoint), kind=kind)
 
     stop = threading.Event()
     previous_handler = None
@@ -107,22 +112,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         pass  # not the main thread; rely on the stop event alone
 
     try:
-        if address is not None:
-            if job.mode == "stream":
-                source = TcpStreamSource(*address)
-                stats = collect_stream(job, source, stop)
-            else:
-                kind = job.mode.removeprefix("search-")
-                source = TcpSearchSource(*address, kind=kind)
-                stats = collect_search(job, source, stop=stop)
-        else:
-            replay = ReplaySource.from_file(endpoint.removeprefix("file://"))
-            if job.mode == "stream":
-                stats = collect_stream(job, replay, stop)
-            else:
-                lines = replay.lines
-                pages = [lines[i : i + 100] for i in range(0, len(lines), 100)]
-                stats = collect_search(job, ScriptedSearchSource(pages), stop=stop)
+        stats = (collect_stream if stream else collect_search)(job, source, stop=stop)
     finally:
         if previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)
@@ -131,7 +121,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         f"received {stats.received}, matched {stats.matched}, "
         f"written {stats.written}, reconnects {stats.reconnects}"
     )
-    return 0
 
 
 def _tcp_address(endpoint: str) -> tuple[str, int]:
@@ -151,42 +140,33 @@ def _tcp_address(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _cmd_histogram(args: argparse.Namespace) -> int:
-    tweets, _ = read_archive(args.archive, dedupe=True)
+def _cmd_histogram(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
     tz = args.histogram_tz if args.histogram_tz is not None else args.tz
     buckets = analytics.histogram(tweets, args.granularity, tz)
     analytics.write_histogram_dat(buckets, args.output)
     print(f"{len(buckets)} buckets -> {args.output}")
-    return 0
 
 
-def _cmd_top_tweets(args: argparse.Namespace) -> int:
-    tweets, _ = read_archive(args.file, dedupe=True)
+def _cmd_top_tweets(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
     entries = analytics.top_tweets_by_retweets(tweets, args.k, args.count_source)
     _emit_ranking(entries, args.format, user_keys=False)
-    return 0
 
 
-def _cmd_top_users(args: argparse.Namespace) -> int:
-    tweets, _ = read_archive(args.file, dedupe=True)
+def _cmd_top_users(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
     if args.by == "activity":
         entries = analytics.top_users_by_activity(tweets, args.k)
     else:
         entries = analytics.top_users_by_received_retweets(tweets, args.k)
     _emit_ranking(entries, args.format, user_keys=True)
-    return 0
 
 
-def _cmd_coordinates(args: argparse.Namespace) -> int:
-    tweets, _ = read_archive(args.archive, dedupe=True)
+def _cmd_coordinates(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
     rows = analytics.extract_coordinates(tweets)
     analytics.write_coordinates_csv(rows, args.output)
     print(f"{len(rows)} geotagged tweets -> {args.output}")
-    return 0
 
 
-def _cmd_interactions(args: argparse.Namespace) -> int:
-    tweets, _ = read_archive(args.archive, dedupe=True)
+def _cmd_interactions(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
     edges = graphs.extract_interactions(tweets)
     g = graphs.aggregate(edges, merge_kinds=args.merge_kinds)
     if args.top is not None:
@@ -209,11 +189,9 @@ def _cmd_interactions(args: argparse.Namespace) -> int:
         if args.gexf:
             graphs.export_gexf(g, communities, args.gexf)
             print(f"gexf -> {args.gexf}")
-    return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    tweets, stats = read_archive(args.archive, dedupe=True)
+def _cmd_stats(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
     print(
         f"{len(tweets)} tweets ({stats.total_lines} lines: {stats.parsed} parsed, "
         f"{stats.skipped_malformed} malformed, {stats.duplicates_dropped} duplicate)"
@@ -224,7 +202,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         last = max(t.created_at for t in tweets)
         print(f"{len(authors)} distinct users")
         print(f"span {first.isoformat()} .. {last.isoformat()}")
-    return 0
 
 
 # --- parser ----------------------------------------------------------------
@@ -243,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     collect = commands.add_parser("collect", help="record matching posts to archives")
-    collect.add_argument("mode", choices=("stream", "search-recent", "search-popular"))
+    collect.add_argument("mode", choices=MODES)
     collect.add_argument("event_name")
     collect.add_argument("terms", nargs="+", metavar="term")
     collect.add_argument(
@@ -252,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="tcp://HOST:PORT or a line-delimited file to replay",
     )
-    collect.set_defaults(func=_cmd_collect)
 
     hist = commands.add_parser("histogram", help="tweets per hour or day")
     hist.add_argument("archive")
@@ -265,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     hist.set_defaults(func=_cmd_histogram)
 
     tweets_cmd = commands.add_parser("top-tweets", help="most retweeted tweets")
-    tweets_cmd.add_argument("-f", "--file", required=True)
+    tweets_cmd.add_argument("-f", "--file", required=True, dest="archive", metavar="FILE")
     tweets_cmd.add_argument("-k", type=int, default=10)
     tweets_cmd.add_argument(
         "--count-source", choices=analytics.COUNT_SOURCES, default="observed"
@@ -273,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     tweets_cmd.set_defaults(func=_cmd_top_tweets)
 
     users_cmd = commands.add_parser("top-users", help="most active or most retweeted users")
-    users_cmd.add_argument("-f", "--file", required=True)
+    users_cmd.add_argument("-f", "--file", required=True, dest="archive", metavar="FILE")
     users_cmd.add_argument("-k", type=int, default=10)
     users_cmd.add_argument("--by", choices=("activity", "retweets"), default="activity")
     users_cmd.set_defaults(func=_cmd_top_users)
@@ -309,7 +285,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         # for every subcommand, even where histogram's own --tz overrides it
         if abs(args.tz) > analytics.MAX_TZ_OFFSET_MINUTES:
             raise ValueError(f"tz offset out of range: {args.tz}")
-        return args.func(args)
+        if args.command == "collect":
+            _cmd_collect(args)
+        else:
+            # looked up at call time: perfbench/tracing.py rebinds cli.read_archive
+            args.func(args, *read_archive(args.archive, dedupe=True))
+        return 0
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

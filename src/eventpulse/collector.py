@@ -66,6 +66,8 @@ _BACKOFF_FIRST_S = 1.0
 _BACKOFF_CAP_S = 320.0
 _BACKOFF_HEALTHY_S = 60.0
 
+MODES = ("stream", "search-recent", "search-popular")
+
 _TCP_TIMEOUT_S = 5.0  # to connect, and for a search page to answer
 _READ_POLL_S = 0.25  # a stream read wakes this often to see a set stop
 
@@ -84,7 +86,7 @@ class CollectionJob:
     archive_dir: Path
 
     def __post_init__(self):
-        if self.mode not in ("stream", "search-recent", "search-popular"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown collection mode: {self.mode!r}")
         if not _EVENT_NAME.match(self.event_name):
             raise ValueError(f"bad event name: {self.event_name!r}")
@@ -320,6 +322,20 @@ def _track_query(track_terms: Sequence[str]) -> str:
     return ",".join(quote(term, safe="") for term in track_terms)
 
 
+def _request(host: str, port: int, target: str) -> socket.socket:
+    """Send ``GET <target> HTTP/1.0`` on a new socket; on failure close it and
+    raise StreamDisconnected."""
+    sock = None
+    try:
+        sock = socket.create_connection((host, port), timeout=_TCP_TIMEOUT_S)
+        sock.sendall(f"GET {target} HTTP/1.0\r\n\r\n".encode("ascii"))
+    except OSError as exc:
+        if sock is not None:
+            sock.close()
+        raise StreamDisconnected(f"connect failed: {exc}") from exc
+    return sock
+
+
 class TcpStreamSource:
     """Client for the newline-delimited TCP streaming protocol.
 
@@ -337,14 +353,7 @@ class TcpStreamSource:
     def connect(
         self, track_terms: Sequence[str], stop: threading.Event | None = None
     ) -> Iterator[bytes]:
-        try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=_TCP_TIMEOUT_S
-            )
-            request = f"GET /stream?track={_track_query(track_terms)} HTTP/1.0\r\n\r\n"
-            sock.sendall(request.encode("ascii"))
-        except OSError as exc:
-            raise StreamDisconnected(f"connect failed: {exc}") from exc
+        sock = _request(self.host, self.port, f"/stream?track={_track_query(track_terms)}")
         sock.settimeout(_READ_POLL_S)
         return self._read_lines(sock, stop)
 
@@ -423,23 +432,14 @@ class TcpSearchSource:
     def _fetch(
         self, track_terms: Sequence[str], page: int
     ) -> tuple[bytes, list[bytes]]:
-        request = (
-            f"GET /search?track={_track_query(track_terms)}"
-            f"&page={page}&kind={self.kind} HTTP/1.0\r\n\r\n"
-        )
-        try:
-            with socket.create_connection(
-                (self.host, self.port), timeout=_TCP_TIMEOUT_S
-            ) as sock:
-                sock.sendall(request.encode("ascii"))
-                blob = b""
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
+        target = f"/search?track={_track_query(track_terms)}&page={page}&kind={self.kind}"
+        with _request(self.host, self.port, target) as sock:
+            blob = b""
+            try:
+                while chunk := sock.recv(65536):
                     blob += chunk
-        except OSError as exc:
-            raise StreamDisconnected(f"search request failed: {exc}") from exc
+            except OSError as exc:
+                raise StreamDisconnected(f"search request failed: {exc}") from exc
         lines = [line.rstrip(b"\r") for line in blob.split(b"\n")]
         lines = [line for line in lines if line]
         if not lines:
@@ -623,7 +623,7 @@ def collect_search(
     seconds and counts in ``stats.rate_limit_waits``. Stop is checked
     before each item is asked for, so a set stop sends no more requests.
     """
-    if job.mode not in ("search-recent", "search-popular"):
+    if job.mode not in MODES[1:]:
         raise ValueError(f"collect_search needs a search mode, got {job.mode!r}")
     clock = clock or SystemClock()
     stop = stop if stop is not None else threading.Event()

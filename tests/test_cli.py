@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_record, record_line, write_archive
+from eventpulse import cli
 from eventpulse.cli import run
 from eventpulse.mockserver import MockStreamServer
 
@@ -89,6 +91,15 @@ class TestExitCodes:
 
     def test_success_is_0(self, small_archive, tmp_path):
         assert run(["histogram", str(small_archive), str(tmp_path / "h.dat")]) == 0
+
+    def test_errors_come_in_order_tz_then_archive_then_command(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.jsonl")
+        assert run(["--tz", "900", "stats", missing]) == 1
+        assert capsys.readouterr().err == "error: tz offset out of range: 900\n"
+        assert run(["top-users", "-f", missing, "-k", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert "k must be" not in err
 
 
 class TestHistogramCommand:
@@ -454,7 +465,9 @@ class TestCollectCommand:
             ["--data-dir", str(tmp_path), "collect", "stream", "proba", "#proba"]
         )
         assert code == 1
-        assert "endpoint" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: no endpoint; pass --endpoint tcp://HOST:PORT or --endpoint FILE\n"
+        )
 
     @pytest.mark.parametrize("port", ["0", "65536", "70000", "-1", "abc", ""])
     def test_bad_endpoint_port_fails_before_connecting(self, tmp_path, port):
@@ -546,6 +559,44 @@ class TestCollectCommand:
         )
         assert code == 1
         assert "event name" in capsys.readouterr().err
+
+
+class TestReadSeam:
+    """perfbench times the archive read by rebinding ``cli.read_archive``."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        real = cli.read_archive
+
+        def counting(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_archive", counting)
+        return calls
+
+    @pytest.mark.parametrize("workload", ["report", "notable"])
+    def test_each_benchmark_command_reads_once(
+        self, workload, small_archive, tmp_path, reads, monkeypatch
+    ):
+        monkeypatch.setattr(sys, "path", list(sys.path))  # worker.py prepends to it
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+        spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        commands = worker.analysis_commands(workload, str(small_archive), tmp_path)
+        assert commands
+        for _metric, argv, _outputs in commands:
+            reads.clear()
+            assert run(argv) == 0, argv
+            assert reads == [((), {"dedupe": True})], argv
+
+    def test_collect_reads_no_archive(self, small_archive, tmp_path, reads):
+        argv = ["--data-dir", str(tmp_path / "data"), "collect", "stream", "proba",
+                "#gora", "--endpoint", str(small_archive)]
+        assert run(argv) == 0
+        assert reads == []
 
 
 class TestDeterminism:

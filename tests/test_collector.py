@@ -672,6 +672,51 @@ class TestTcpTransport:
         with pytest.raises(StreamDisconnected):
             source.connect(("x",))
 
+    @pytest.mark.parametrize(
+        "request_once, request_line",
+        [
+            (
+                lambda: TcpStreamSource("127.0.0.1", 9).connect(("#x", "y z")),
+                b"GET /stream?track=%23x,y%20z HTTP/1.0\r\n\r\n",
+            ),
+            (
+                lambda: next(TcpSearchSource("127.0.0.1", 9, kind="popular").pages(("#x",))),
+                b"GET /search?track=%23x&page=0&kind=popular HTTP/1.0\r\n\r\n",
+            ),
+        ],
+        ids=["stream", "search"],
+    )
+    def test_failed_request_closes_its_socket(
+        self, monkeypatch, request_once, request_line
+    ):
+        class SendFails:
+            closed = False
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.close()
+
+            def sendall(self, data):
+                sent.append(data)
+                raise OSError("broken pipe")
+
+            def close(self):
+                self.closed = True
+
+        sent, opened = [], []
+
+        def create_connection(address, timeout=None):
+            opened.append(SendFails())
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        with pytest.raises(StreamDisconnected, match="broken pipe"):
+            request_once()
+        assert sent == [request_line]
+        assert len(opened) == 1 and opened[0].closed
+
 
 @contextmanager
 def _answer_once(response: bytes) -> Iterator[tuple[str, int]]:
