@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import random
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -286,6 +285,19 @@ def import_edges_csv(path: str | Path) -> WeightedGraph:
     return graph
 
 
+def _quote_attr(text: str) -> str:
+    """``text`` escaped for a double-quoted XML attribute, as ElementTree escapes it."""
+    return (
+        text.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+        .replace("\r", "&#13;")
+        .replace("\n", "&#10;")
+        .replace("\t", "&#09;")
+    )
+
+
 def export_gexf(
     graph: WeightedGraph, communities: dict[str, int], path: str | Path
 ) -> None:
@@ -294,65 +306,77 @@ def export_gexf(
     Edge weights ride on the standard ``weight`` edge attribute; when
     the graph still distinguishes interaction kinds, a string "kind"
     edge attribute is declared and filled. Output is fully sorted, so
-    equal inputs produce identical bytes. A node name that XML 1.0
-    cannot carry raises ValueError before the file is opened.
+    equal inputs produce identical bytes. The document is rendered as
+    text, two-space indented, and written at once; its bytes are the
+    ones ``xml.etree.ElementTree`` writes for the same tree after
+    ``ET.indent``. A node without a community, or a node name that XML
+    1.0 cannot carry, raises ValueError before the file is opened.
     """
     missing = graph.nodes - communities.keys()
     if missing:
         raise ValueError(f"no community for node(s): {sorted(missing)[:3]}")
     _check_names(graph, _NOT_XML_CHAR, "XML 1.0")
     with_kind = any(key[2] is not None for key in graph.edges)
+    # each node, endpoint and kind escaped once
+    quoted = {
+        text: _quote_attr(text)
+        for text in graph.nodes.union(*graph.edges)
+        if text is not None
+    }
 
-    ET.register_namespace("", GEXF_NAMESPACE)
-    ns = f"{{{GEXF_NAMESPACE}}}"
-    root = ET.Element(f"{ns}gexf", {"version": "1.2"})
-    meta = ET.SubElement(root, f"{ns}meta")
-    ET.SubElement(meta, f"{ns}creator").text = "eventpulse"
-    graph_el = ET.SubElement(
-        root, f"{ns}graph", {"defaultedgetype": "directed", "mode": "static"}
-    )
-    node_attrs = ET.SubElement(graph_el, f"{ns}attributes", {"class": "node"})
-    ET.SubElement(
-        node_attrs,
-        f"{ns}attribute",
-        {"id": "community", "title": "community", "type": "integer"},
-    )
+    parts = [
+        "<?xml version='1.0' encoding='utf-8'?>\n"
+        f'<gexf xmlns="{GEXF_NAMESPACE}" version="1.2">\n'
+        "  <meta>\n"
+        "    <creator>eventpulse</creator>\n"
+        "  </meta>\n"
+        '  <graph defaultedgetype="directed" mode="static">\n'
+        '    <attributes class="node">\n'
+        '      <attribute id="community" title="community" type="integer" />\n'
+        "    </attributes>\n"
+    ]
     if with_kind:
-        edge_attrs = ET.SubElement(graph_el, f"{ns}attributes", {"class": "edge"})
-        ET.SubElement(
-            edge_attrs,
-            f"{ns}attribute",
-            {"id": "kind", "title": "kind", "type": "string"},
+        parts.append(
+            '    <attributes class="edge">\n'
+            '      <attribute id="kind" title="kind" type="string" />\n'
+            "    </attributes>\n"
         )
 
-    nodes_el = ET.SubElement(graph_el, f"{ns}nodes")
+    parts.append("    <nodes>\n" if graph.nodes else "    <nodes />\n")
     for node in sorted(graph.nodes, key=_name_order):
-        node_el = ET.SubElement(nodes_el, f"{ns}node", {"id": node, "label": node})
-        values = ET.SubElement(node_el, f"{ns}attvalues")
-        ET.SubElement(
-            values,
-            f"{ns}attvalue",
-            {"for": "community", "value": str(communities[node])},
+        name = quoted[node]
+        parts.append(
+            f'      <node id="{name}" label="{name}">\n'
+            "        <attvalues>\n"
+            f'          <attvalue for="community" value="{communities[node]}" />\n'
+            "        </attvalues>\n"
+            "      </node>\n"
         )
+    if graph.nodes:
+        parts.append("    </nodes>\n")
 
-    edges_el = ET.SubElement(graph_el, f"{ns}edges")
+    parts.append("    <edges>\n" if graph.edges else "    <edges />\n")
     for edge_id, ((source, target, kind), weight) in enumerate(
         _sorted_edge_items(graph)
     ):
-        edge_el = ET.SubElement(
-            edges_el,
-            f"{ns}edge",
-            {
-                "id": str(edge_id),
-                "source": source,
-                "target": target,
-                "weight": str(weight),
-            },
+        edge = (
+            f'      <edge id="{edge_id}" source="{quoted[source]}"'
+            f' target="{quoted[target]}" weight="{weight}"'
         )
         if with_kind and kind is not None:
-            values = ET.SubElement(edge_el, f"{ns}attvalues")
-            ET.SubElement(values, f"{ns}attvalue", {"for": "kind", "value": kind})
+            parts.append(
+                f"{edge}>\n"
+                "        <attvalues>\n"
+                f'          <attvalue for="kind" value="{quoted[kind]}" />\n'
+                "        </attvalues>\n"
+                "      </edge>\n"
+            )
+        else:
+            parts.append(f"{edge} />\n")
+    if graph.edges:
+        parts.append("    </edges>\n")
+    parts.append("  </graph>\n</gexf>")
 
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    # opened as ElementTree opens it, so the bytes match on every platform
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as handle:
+        handle.write("".join(parts))

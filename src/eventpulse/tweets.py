@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,15 +41,17 @@ _MONTHS = {
     )
 }
 # The exact 30-character spelling of _CLASSIC_FORMAT: names in the
-# platform's case, zero-padded ASCII fields, offset minutes 00-59. A
-# match fixes where each field sits, so the fields are read by slice,
-# and a two-digit field by table, which costs less than int().
+# platform's case, zero-padded ASCII fields, hours 00-23, offset minutes
+# 00-59. A match fixes where each field sits, so the fields are moved by
+# slice into an ISO-8601 stamp that the C ``datetime.fromisoformat``
+# reads. Hour 24 is left out because some Python versions read
+# ``T24:00:00`` as the next midnight, which ``strptime`` never does.
 _CLASSIC_LAYOUT = re.compile(
     r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (?:" + "|".join(_MONTHS) + ") "
-    r"\d\d \d\d:\d\d:\d\d [+-]\d\d[0-5]\d \d{4}",
+    r"\d\d (?:[01]\d|2[0-3]):\d\d:\d\d [+-]\d\d[0-5]\d \d{4}",
     re.ASCII,
 )
-_TWO_DIGITS = {f"{number:02d}": number for number in range(100)}
+_MONTH_DIGITS = {name: f"{number:02d}" for name, number in _MONTHS.items()}
 _HASHTAG = re.compile(r"#(\w+)")
 
 
@@ -75,6 +77,12 @@ class RetweetRef(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class Tweet:
     """One post, reduced to the fields the analytics need.
+
+    ``__post_init__`` guards Tweets built by hand: it rejects a bad id,
+    a naive timestamp, a bad author, a self-retweet or coordinates off
+    the globe, and turns hashtags and coordinates into tuples. The
+    archive reader builds Tweets without it, from fields its own
+    readers have already validated (see ``_build_tweet``).
 
     Attributes:
         id: Unique post identifier, 0 < id < 2**64.
@@ -134,16 +142,12 @@ def _classic_stamp(value: str) -> datetime | None:
     """The aware datetime of an exact classic stamp, or None to fall back."""
     if _CLASSIC_LAYOUT.fullmatch(value) is None:
         return None
+    # "Thu Mar 19 10:05:00 +0100 2015" -> "2015-03-19T10:05:00+01:00"; an
+    # offset of 0000 either way comes back in timezone.utc itself
     try:
-        if value[21:25] == "0000":  # +0000 or -0000
-            tz = timezone.utc
-        else:
-            offset = _TWO_DIGITS[value[21:23]] * 60 + _TWO_DIGITS[value[23:25]]
-            tz = timezone(timedelta(minutes=-offset if value[20] == "-" else offset))
-        return datetime(
-            int(value[26:]), _MONTHS[value[4:7]], _TWO_DIGITS[value[8:10]],
-            _TWO_DIGITS[value[11:13]], _TWO_DIGITS[value[14:16]], _TWO_DIGITS[value[17:19]],
-            tzinfo=tz,
+        return datetime.fromisoformat(
+            f"{value[26:]}-{_MONTH_DIGITS[value[4:7]]}-{value[8:10]}T{value[11:19]}"
+            f"{value[20:23]}:{value[23:25]}"
         )
     except ValueError:  # Feb 30, second 60, offset of 24 h or more, year 0
         return None
@@ -157,9 +161,9 @@ def _parse_timestamp(value: object) -> datetime:
     ``datetime.fromisoformat`` reads (a trailing ``Z`` means UTC, a
     stamp without an offset is taken as UTC). The exact 30-character
     spelling ``Thu Mar 19 10:05:00 +0000 2015`` (names in that case,
-    zero-padded ASCII digits, offset minutes 00-59) is decoded by
-    fixed layout without ``strptime``; every other spelling takes the
-    ``strptime`` -> ``fromisoformat`` path, and both paths give the same
+    zero-padded ASCII digits, hours 00-23, offset minutes 00-59) is
+    decoded by fixed layout without ``strptime``; every other spelling
+    takes the ``strptime`` -> ``fromisoformat`` path, and both give the same
     datetime or the same error. A stamp that starts with a digit skips
     ``strptime``, which cannot read it. As in ``strptime``, the weekday
     is not checked against the date. A stamp that comes out already in
@@ -337,6 +341,11 @@ def _build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
     checked in the order id, created_at, user.screen_name, retweeted_status.
     An optional field that is absent or null is read as absent without a
     call to its reader; any other value goes through the reader.
+
+    This is where a parsed record is validated: the readers give every
+    field in the form ``Tweet.__post_init__`` requires, so the Tweet is
+    made without calling it, and ``Tweet(*fields)`` would accept and
+    equal it.
     """
     get = record.get
     tweet_id = _parse_id(get("id"), "id")
@@ -353,10 +362,19 @@ def _build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
         reply_to = _screen_name(reply_to)
     geojson, legacy = get("coordinates"), get("geo")
     coords = None if geojson is None and legacy is None else _parse_coords(geojson, legacy)
-    # by position, in field order: keywords cost more per call
-    return Tweet(
-        tweet_id, created_at, author, text, hashtags, retweet_of, reply_to, coords, retweet_count
-    )
+    # no __post_init__: the readers above already hold its invariants
+    tweet = object.__new__(Tweet)
+    set_field = object.__setattr__
+    set_field(tweet, "id", tweet_id)
+    set_field(tweet, "created_at", created_at)
+    set_field(tweet, "author", author)
+    set_field(tweet, "text", text)
+    set_field(tweet, "hashtags", hashtags)
+    set_field(tweet, "retweet_of", retweet_of)
+    set_field(tweet, "reply_to", reply_to)
+    set_field(tweet, "coords", coords)
+    set_field(tweet, "retweet_count", retweet_count)
+    return tweet
 
 
 def parse_tweet(line: str | bytes) -> Tweet:

@@ -1,10 +1,12 @@
 """Property-based checks of the documented invariants."""
 
 import calendar
+import dataclasses
 import json
 import random
 import re
 import tempfile
+import xml.etree.ElementTree as ET
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -34,12 +36,17 @@ from eventpulse.collector import (
     matches_track,
 )
 from eventpulse.graph import (
+    GEXF_NAMESPACE,
     KIND_REPLY,
     KIND_RETWEET,
+    _NOT_XML_CHAR,
     InteractionEdge,
     WeightedGraph,
+    _check_names,
+    _sorted_edge_items,
     aggregate,
     export_edges_csv,
+    export_gexf,
     extract_interactions,
     import_edges_csv,
     label_propagation,
@@ -52,6 +59,7 @@ from eventpulse.tweets import (
     RetweetRef,
     Tweet,
     _decode_record,
+    _name_order,
     _parse_timestamp,
     parse_tweet,
     read_archive,
@@ -795,6 +803,33 @@ def test_read_archive_is_the_per_line_fold(lines):
             assert (tweets, repr(tweets), stats) == (expected, repr(expected), expected_stats)
 
 
+def rebuilt(tweet: Tweet) -> Tweet:
+    """The same fields through the public constructor, so through __post_init__."""
+    return Tweet(*(getattr(tweet, field.name) for field in dataclasses.fields(Tweet)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(hostile_records(), min_size=1, max_size=4))
+@example(records=[make_record(id=2, coordinates=(-2, 43), retweet=(1, "@bi", 5), reply_to="@mikel")])
+def test_built_tweets_pass_the_public_constructor(records):
+    # the builder skips __post_init__; each Tweet it returns must be one
+    # that Tweet(*fields) accepts and equals, down to the repr
+    lines = [json.dumps(record) for record in records]
+    tweets = []
+    for line in lines:
+        try:
+            tweets.append(parse_tweet(line))
+        except ParseError:
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        tweets += read_archive(path)[0]
+    for tweet in tweets:
+        public = rebuilt(tweet)
+        assert (public, repr(public)) == (tweet, repr(tweet))
+
+
 # --- timestamps --------------------------------------------------------------
 
 WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -891,6 +926,14 @@ def near_miss_stamps(draw):
 @example("Thu Dec 31 23:30:00 -0100 2015")  # 2016 in UTC
 @example("Thu Mar 19 10:05:00 +1000 2015")
 @example("0Thu Mar 19 10:05:00 +0000 2015")  # a leading digit skips strptime
+@example("Thu Mar 19 10:05:00 +2359 2015")  # the widest offsets the layout can spell
+@example("Thu Mar 19 10:05:00 -2359 2015")
+@example("Sat Feb 29 23:59:59 -0000 2020")  # Feb 29 in a leap year
+@example("Sun Feb 29 12:00:00 +0000 2015")  # and in a common year
+@example("Thu Mar 19 10:05:60 +0000 2015")  # second 60
+@example("Thu Mar 19 24:00:00 +0000 2015")  # hour 24, which strptime never reads
+@example("Mon Jan 01 00:30:00 +0100 0001")  # UTC falls before year 1
+@example("Fri Dec 31 23:30:00 -0100 9999")  # UTC falls after year 9999
 def test_timestamp_fast_path_matches_strptime_chain(stamp):
     expected = reference_parse_timestamp(stamp)
     if expected is None:
@@ -1007,6 +1050,124 @@ def test_edge_csv_round_trip(graph):
         back = import_edges_csv(path)
     assert back.edges == graph.edges
     assert back.nodes >= {key[0] for key in graph.edges}
+
+
+# export_gexf as it was when it built an ElementTree, verbatim but for
+# its name; the shared checks and the sort come from eventpulse.graph.
+# Kept as the reference for the text writer, which must match its bytes.
+def kept_export_gexf(
+    graph: WeightedGraph, communities: dict[str, int], path: str | Path
+) -> None:
+    missing = graph.nodes - communities.keys()
+    if missing:
+        raise ValueError(f"no community for node(s): {sorted(missing)[:3]}")
+    _check_names(graph, _NOT_XML_CHAR, "XML 1.0")
+    with_kind = any(key[2] is not None for key in graph.edges)
+
+    ET.register_namespace("", GEXF_NAMESPACE)
+    ns = f"{{{GEXF_NAMESPACE}}}"
+    root = ET.Element(f"{ns}gexf", {"version": "1.2"})
+    meta = ET.SubElement(root, f"{ns}meta")
+    ET.SubElement(meta, f"{ns}creator").text = "eventpulse"
+    graph_el = ET.SubElement(
+        root, f"{ns}graph", {"defaultedgetype": "directed", "mode": "static"}
+    )
+    node_attrs = ET.SubElement(graph_el, f"{ns}attributes", {"class": "node"})
+    ET.SubElement(
+        node_attrs,
+        f"{ns}attribute",
+        {"id": "community", "title": "community", "type": "integer"},
+    )
+    if with_kind:
+        edge_attrs = ET.SubElement(graph_el, f"{ns}attributes", {"class": "edge"})
+        ET.SubElement(
+            edge_attrs,
+            f"{ns}attribute",
+            {"id": "kind", "title": "kind", "type": "string"},
+        )
+
+    nodes_el = ET.SubElement(graph_el, f"{ns}nodes")
+    for node in sorted(graph.nodes, key=_name_order):
+        node_el = ET.SubElement(nodes_el, f"{ns}node", {"id": node, "label": node})
+        values = ET.SubElement(node_el, f"{ns}attvalues")
+        ET.SubElement(
+            values,
+            f"{ns}attvalue",
+            {"for": "community", "value": str(communities[node])},
+        )
+
+    edges_el = ET.SubElement(graph_el, f"{ns}edges")
+    for edge_id, ((source, target, kind), weight) in enumerate(
+        _sorted_edge_items(graph)
+    ):
+        edge_el = ET.SubElement(
+            edges_el,
+            f"{ns}edge",
+            {
+                "id": str(edge_id),
+                "source": source,
+                "target": target,
+                "weight": str(weight),
+            },
+        )
+        if with_kind and kind is not None:
+            values = ET.SubElement(edge_el, f"{ns}attvalues")
+            ET.SubElement(values, f"{ns}attvalue", {"for": "kind", "value": kind})
+
+    tree = ET.ElementTree(root)
+    ET.indent(tree, space="  ")
+    tree.write(path, encoding="utf-8", xml_declaration=True)
+
+
+# any character XML 1.0 can carry, with the ones an attribute must escape
+# and two outside the BMP drawn often
+xml_names = st.text(
+    st.one_of(
+        st.sampled_from('&<>"\t\n\r aA\U0001f600\U0001d538'),
+        st.characters(exclude_categories=("Cs",)).filter(
+            lambda char: not _NOT_XML_CHAR.match(char)
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def gexf_cases(draw):
+    """A graph over drawn names, some of them without edges, and its communities."""
+    names = draw(st.lists(xml_names, max_size=8, unique=True))
+    triples = []
+    if names:
+        triples = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(names),
+                    st.sampled_from(names),
+                    st.sampled_from([KIND_RETWEET, KIND_REPLY]),
+                ),
+                max_size=20,
+            )
+        )
+    graph = graph_from(triples, merge=draw(st.booleans()))
+    graph.nodes.update(names)
+    communities = {node: draw(st.integers(0, 3)) for node in sorted(graph.nodes)}
+    return graph, communities
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=gexf_cases())
+@example(case=(WeightedGraph(), {}))
+@example(case=(WeightedGraph(nodes={"a&b"}), {"a&b": 0}))
+@example(case=(graph_from([('<"\t\n\r>', "\U0001f600&", KIND_REPLY)]), {'<"\t\n\r>': 0, "\U0001f600&": 1}))
+@example(case=(graph_from([("a", "b", KIND_RETWEET)], merge=True), {"a": 0, "b": 0}))
+def test_gexf_text_writer_matches_the_kept_element_tree_writer(case):
+    graph, communities = case
+    with tempfile.TemporaryDirectory() as tmp:
+        text, kept = Path(tmp) / "text.gexf", Path(tmp) / "kept.gexf"
+        export_gexf(graph, communities, text)
+        kept_export_gexf(graph, communities, kept)
+        assert text.read_bytes() == kept.read_bytes()
 
 
 @settings(max_examples=40, deadline=None)
