@@ -28,7 +28,6 @@ from .graph import (
     export_edges_csv,
     export_gexf,
     extract_interactions,
-    import_edges_csv,
     label_propagation,
     notable_subgraph,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "extract_coordinates",
     "extract_interactions",
     "histogram",
-    "import_edges_csv",
     "label_propagation",
     "matches_track",
     "notable_subgraph",

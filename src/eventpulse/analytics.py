@@ -9,14 +9,13 @@ duplicate ids already; ``read_archive(path, dedupe=True)`` does that.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .tweets import Tweet, _name_order
+from .tweets import Tweet, _csv_text, _name_order, _write_text
 
 __all__ = [
     "HistogramBucket",
@@ -249,18 +248,12 @@ def write_histogram_dat(
     Bucket starts are written without a UTC suffix: they are clock
     times under the offset the histogram was built with.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for bucket in buckets:
-            stamp = bucket.bucket_start.replace(tzinfo=None).isoformat()
-            handle.write(f"{stamp}\t{bucket.count}\n")
+    lines = (f"{b.bucket_start.replace(tzinfo=None).isoformat()}\t{b.count}\n" for b in buckets)
+    _write_text(path, "".join(lines))
 
 
 def write_coordinates_csv(
     rows: Iterable[tuple[int, float, float]], path: str | Path
 ) -> None:
     """Write an "id,latitude,longitude" CSV, LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "latitude", "longitude"])
-        for tweet_id, lat, lon in rows:
-            writer.writerow([tweet_id, lat, lon])
+    _write_text(path, _csv_text(["id", "latitude", "longitude"], rows))

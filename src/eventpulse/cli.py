@@ -1,17 +1,18 @@
 """Command line front end: collect archives and run the analytics.
 
 Exit codes: 0 on success, 1 on operational failures (missing files,
-bad archives, bad endpoints; message on stderr), 2 on usage errors.
-Each analysis command reads its archive once, in ``run``, and then
-renders from the tweets and parse stats of that read. With a fixed
-seed every subcommand writes byte-identical output files across reruns.
+bad archives, bad endpoints, an output that is the archive; message on
+stderr), 2 on usage errors. One read, one render, one write: ``run``
+reads the archive once, the command writes its files and renders its
+stdout as one text, and ``run`` writes that text in one call, so a
+failed command prints only its ``error:`` line. With a fixed seed every
+subcommand writes byte-identical output files across reruns.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import os
 import signal
 import sys
 import threading
@@ -29,40 +30,28 @@ from .collector import (
     collect_search,
     collect_stream,
 )
-from .tweets import ParseError, ParseStats, Tweet, read_archive
+from .tweets import ParseError, ParseStats, Tweet, _csv_text, read_archive
 
 DEFAULT_DATA_DIR = "./data"
 DEFAULT_SEED = 42
 
 
-def _emit_table(headers: list[str], rows: list[list[str]]) -> None:
+def _table_text(headers: list[str], rows: list[list[str]]) -> str:
     # a line break or tab inside a name would split or skew its row
     rows = [[" ".join(cell.split()) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    lines = [
+    return "".join(
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() + "\n"
         for row in [headers, *rows]
-    ]
-    # one write of the whole text: what stdout cannot encode (a lone
-    # surrogate in a name) fails it before any row is printed
-    sys.stdout.write("".join(lines))
+    )
 
 
-def _emit_csv(headers: list[str], rows) -> None:
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    sys.stdout.write(text.getvalue())  # one write, as in _emit_table
-
-
-def _emit_ranking(entries, output_format: str, *, user_keys: bool) -> None:
+def _ranking_text(entries, output_format: str, *, user_keys: bool) -> str:
     if output_format == "csv":
-        _emit_csv(["key", "score"], ([entry.key, entry.score] for entry in entries))
-        return
+        return _csv_text(["key", "score"], ([entry.key, entry.score] for entry in entries))
     if user_keys:
         headers = ["rank", "user", "score"]
         rows = [[str(e.rank), f"@{e.key}", str(e.score)] for e in entries]
@@ -72,7 +61,7 @@ def _emit_ranking(entries, output_format: str, *, user_keys: bool) -> None:
             [str(e.rank), str(e.key), f"@{e.author}", str(e.score), _squash(e.text)]
             for e in entries
         ]
-    _emit_table(headers, rows)
+    return _table_text(headers, rows)
 
 
 def _squash(text: str, limit: int = 60) -> str:
@@ -84,7 +73,7 @@ def _squash(text: str, limit: int = 60) -> str:
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_collect(args: argparse.Namespace) -> None:
+def _cmd_collect(args: argparse.Namespace) -> str:
     job = CollectionJob(
         args.mode, args.event_name, tuple(args.terms), Path(args.data_dir)
     )
@@ -117,9 +106,9 @@ def _cmd_collect(args: argparse.Namespace) -> None:
         if previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)
 
-    print(
+    return (
         f"received {stats.received}, matched {stats.matched}, "
-        f"written {stats.written}, reconnects {stats.reconnects}"
+        f"written {stats.written}, reconnects {stats.reconnects}\n"
     )
 
 
@@ -140,68 +129,91 @@ def _tcp_address(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _cmd_histogram(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
+def _cmd_histogram(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
     tz = args.histogram_tz if args.histogram_tz is not None else args.tz
     buckets = analytics.histogram(tweets, args.granularity, tz)
     analytics.write_histogram_dat(buckets, args.output)
-    print(f"{len(buckets)} buckets -> {args.output}")
+    return f"{len(buckets)} buckets -> {args.output}\n"
 
 
-def _cmd_top_tweets(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
+def _cmd_top_tweets(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
     entries = analytics.top_tweets_by_retweets(tweets, args.k, args.count_source)
-    _emit_ranking(entries, args.format, user_keys=False)
+    return _ranking_text(entries, args.format, user_keys=False)
 
 
-def _cmd_top_users(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
+def _cmd_top_users(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
     if args.by == "activity":
         entries = analytics.top_users_by_activity(tweets, args.k)
     else:
         entries = analytics.top_users_by_received_retweets(tweets, args.k)
-    _emit_ranking(entries, args.format, user_keys=True)
+    return _ranking_text(entries, args.format, user_keys=True)
 
 
-def _cmd_coordinates(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
+def _cmd_coordinates(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
     rows = analytics.extract_coordinates(tweets)
     analytics.write_coordinates_csv(rows, args.output)
-    print(f"{len(rows)} geotagged tweets -> {args.output}")
+    return f"{len(rows)} geotagged tweets -> {args.output}\n"
 
 
-def _cmd_interactions(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
+def _cmd_interactions(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
     edges = graphs.extract_interactions(tweets)
     g = graphs.aggregate(edges, merge_kinds=args.merge_kinds)
     if args.top is not None:
         g = graphs.notable_subgraph(g, args.top)
-    graphs.export_edges_csv(g, args.output)
-    print(
+    text = (
         f"{len(edges)} interactions, {len(g.nodes)} nodes, "
-        f"{len(g.edges)} edges -> {args.output}"
+        f"{len(g.edges)} edges -> {args.output}\n"
     )
     if args.communities or args.gexf:
         communities = graphs.label_propagation(g, seed=args.seed)
         if args.communities:
             if args.format == "csv":
-                _emit_csv(["node", "community"], communities.items())
+                text += _csv_text(["node", "community"], communities.items())
             else:
-                _emit_table(
+                text += _table_text(
                     ["node", "community"],
                     [[node, str(label)] for node, label in communities.items()],
                 )
         if args.gexf:
+            # first: the XML name check rejects every name the UTF-8 check
+            # of the edge CSV rejects, so a failing name writes no file
             graphs.export_gexf(g, communities, args.gexf)
-            print(f"gexf -> {args.gexf}")
+            text += f"gexf -> {args.gexf}\n"
+    graphs.export_edges_csv(g, args.output)
+    return text
 
 
-def _cmd_stats(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> None:
-    print(
+def _cmd_stats(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
+    text = (
         f"{len(tweets)} tweets ({stats.total_lines} lines: {stats.parsed} parsed, "
-        f"{stats.skipped_malformed} malformed, {stats.duplicates_dropped} duplicate)"
+        f"{stats.skipped_malformed} malformed, {stats.duplicates_dropped} duplicate)\n"
     )
     if tweets:
         authors = {t.author for t in tweets}
         first = min(t.created_at for t in tweets)
         last = max(t.created_at for t in tweets)
-        print(f"{len(authors)} distinct users")
-        print(f"span {first.isoformat()} .. {last.isoformat()}")
+        text += f"{len(authors)} distinct users\n"
+        text += f"span {first.isoformat()} .. {last.isoformat()}\n"
+    return text
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one regular file, or one file yet to be made."""
+    try:
+        # a device such as /dev/null can take any number of writes
+        return os.path.samefile(a, b) and os.path.isfile(a)
+    except OSError:  # at least one of them does not exist
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output that is the archive, or two outputs that are one file."""
+    outputs = [path for path in (vars(args).get("output"), vars(args).get("gexf")) if path]
+    for output in outputs:
+        if _same_file(output, args.archive):
+            raise ValueError(f"output {output!r} is the archive being read")
+    if len(outputs) == 2 and _same_file(*outputs):
+        raise ValueError(f"the edge CSV and --gexf name one file: {outputs[1]!r}")
 
 
 # --- parser ----------------------------------------------------------------
@@ -286,10 +298,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         if abs(args.tz) > analytics.MAX_TZ_OFFSET_MINUTES:
             raise ValueError(f"tz offset out of range: {args.tz}")
         if args.command == "collect":
-            _cmd_collect(args)
+            text = _cmd_collect(args)
         else:
+            _check_outputs(args)
             # looked up at call time: perfbench/tracing.py rebinds cli.read_archive
-            args.func(args, *read_archive(args.archive, dedupe=True))
+            text = args.func(args, *read_archive(args.archive, dedupe=True))
+        # one write of the whole text: what stdout cannot encode (a lone
+        # surrogate in a name) fails it before any line is printed
+        sys.stdout.write(text)
         return 0
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,19 +4,18 @@ Edges point from the acting user to the author of the content acted
 on. Aggregation sums parallel edges into integer weights, optionally
 merging the two interaction kinds. Community labels come from a
 deterministic, seeded label propagation, and graphs can be exported as
-an edge CSV (re-importable) or as GEXF 1.2 for graph tools.
+an edge CSV or as GEXF 1.2 for graph tools.
 """
 
 from __future__ import annotations
 
-import csv
 import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .tweets import Tweet, _name_order
+from .tweets import Tweet, _csv_text, _name_order, _write_text
 
 __all__ = [
     "KIND_REPLY",
@@ -27,7 +26,6 @@ __all__ = [
     "export_edges_csv",
     "export_gexf",
     "extract_interactions",
-    "import_edges_csv",
     "label_propagation",
     "notable_subgraph",
 ]
@@ -250,39 +248,12 @@ def export_edges_csv(graph: WeightedGraph, path: str | Path) -> None:
     before the file is opened.
     """
     _check_names(graph, _NOT_UTF8_CHAR, "UTF-8")
-    with_kind = any(key[2] is not None for key in graph.edges)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = ["Source", "Target", "Weight"]
-        if with_kind:
-            header.append("Kind")
-        writer.writerow(header)
-        for (source, target, kind), weight in _sorted_edge_items(graph):
-            row = [source, target, weight]
-            if with_kind:
-                row.append(kind or "")
-            writer.writerow(row)
-
-
-def import_edges_csv(path: str | Path) -> WeightedGraph:
-    """Rebuild a WeightedGraph from an exported edge CSV."""
-    graph = WeightedGraph()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:3] != ["Source", "Target", "Weight"]:
-            raise ValueError(f"not an edge CSV: {path}")
-        with_kind = len(header) > 3 and header[3] == "Kind"
-        for row in reader:
-            if not row:
-                continue
-            source, target, weight = row[0], row[1], int(row[2])
-            kind = row[3] if with_kind and len(row) > 3 and row[3] else None
-            key = (source, target, kind)
-            graph.edges[key] = graph.edges.get(key, 0) + weight
-            graph.nodes.add(source)
-            graph.nodes.add(target)
-    return graph
+    columns = 4 if any(key[2] is not None for key in graph.edges) else 3
+    rows = (
+        (source, target, weight, kind or "")[:columns]
+        for (source, target, kind), weight in _sorted_edge_items(graph)
+    )
+    _write_text(path, _csv_text(["Source", "Target", "Weight", "Kind"][:columns], rows))
 
 
 def _quote_attr(text: str) -> str:
@@ -307,10 +278,11 @@ def export_gexf(
     the graph still distinguishes interaction kinds, a string "kind"
     edge attribute is declared and filled. Output is fully sorted, so
     equal inputs produce identical bytes. The document is rendered as
-    text, two-space indented, and written at once; its bytes are the
-    ones ``xml.etree.ElementTree`` writes for the same tree after
-    ``ET.indent``. A node without a community, or a node name that XML
-    1.0 cannot carry, raises ValueError before the file is opened.
+    text, two-space indented with LF line ends, and written at once; on
+    POSIX its bytes are the ones ``xml.etree.ElementTree`` writes for
+    the same tree after ``ET.indent``. A node without a community, or a
+    node name that XML 1.0 cannot carry, raises ValueError before the
+    file is opened.
     """
     missing = graph.nodes - communities.keys()
     if missing:
@@ -377,6 +349,4 @@ def export_gexf(
         parts.append("    </edges>\n")
     parts.append("  </graph>\n</gexf>")
 
-    # opened as ElementTree opens it, so the bytes match on every platform
-    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as handle:
-        handle.write("".join(parts))
+    _write_text(path, "".join(parts))

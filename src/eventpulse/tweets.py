@@ -13,6 +13,8 @@ and this module only builds an in-memory view of them.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -231,6 +233,24 @@ def _screen_name(value: object) -> str | None:
 def _name_order(name: str) -> tuple[str, str]:
     """Sort key for names: case-insensitively first, then by exact name."""
     return (name.casefold(), name)
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text of a header and rows: fields quoted only when they need it, LF row ends."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 in one call, line ends as they are."""
+    # encoded whole first: a character UTF-8 cannot hold raises ValueError
+    # before an existing file is truncated
+    data = text.encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def _parse_screen_name(container: object, field_name: str) -> str:

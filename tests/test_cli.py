@@ -324,28 +324,42 @@ class TestInteractionsCommand:
 
 
 class TestUnencodableNames:
-    """A name with a lone surrogate (valid JSON "\\ud800") fails a command whole."""
+    """A command that cannot write all its outputs fails whole.
 
-    @pytest.fixture
-    def archive(self, tmp_path):
+    A name with a lone surrogate (valid JSON "\\ud800") fails UTF-8, one
+    with a control character fails only the GEXF writer, and an output
+    that is the archive fails every command that writes one. Each prints
+    only its ``error:`` line and leaves every file as it was.
+    """
+
+    @staticmethod
+    def odd_archive(tmp_path, name):
         # json.dumps keeps the surrogate as the escape \ud800, which parses
         lines = [
             json.dumps(make_record(id=1, screen_name="ane", created_at=ts(10, 0))),
             json.dumps(make_record(
-                id=2, screen_name="un\ud800ai", created_at=ts(10, 1), reply_to="ane",
+                id=2, screen_name=name, created_at=ts(10, 1), reply_to="ane",
             )),
             json.dumps(make_record(
-                id=3, screen_name="ane", created_at=ts(10, 2), retweet=(2, "un\ud800ai"),
+                id=3, screen_name="ane", created_at=ts(10, 2), retweet=(2, name),
             )),
         ]
         return write_archive(tmp_path / "odd.jsonl", lines)
 
+    @pytest.fixture
+    def archive(self, tmp_path):
+        return self.odd_archive(tmp_path, "un\ud800ai")
+
     @staticmethod
-    def assert_failed_whole(capsys):
+    def snapshot(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    def assert_failed_whole(self, capsys, directory, before):
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert self.snapshot(directory) == before
 
     @pytest.mark.parametrize(
         "argv",
@@ -357,18 +371,50 @@ class TestUnencodableNames:
             ["top-tweets"],  # its csv holds tweet ids, not names
         ],
     )
-    def test_ranking_prints_nothing(self, archive, capsys, argv):
+    def test_ranking_prints_nothing(self, archive, tmp_path, capsys, argv):
+        before = self.snapshot(tmp_path)
         assert run([*argv, "-f", str(archive)]) == 1
-        self.assert_failed_whole(capsys)
+        self.assert_failed_whole(capsys, tmp_path, before)
 
-    @pytest.mark.parametrize("communities", [False, True])
-    def test_interactions_creates_no_file(self, archive, tmp_path, capsys, communities):
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("un\ud800ai", []),
+            ("un\ud800ai", ["--communities", "--gexf", "{gexf}"]),
+            ("un\x01ai", ["--communities", "--gexf", "{gexf}"]),
+            ("un\x01ai", ["--gexf", "{gexf}"]),
+        ],
+        ids=["surrogate", "surrogate-gexf", "control-gexf-communities", "control-gexf"],
+    )
+    def test_interactions_keeps_outputs(self, tmp_path, capsys, name, extra):
+        archive = self.odd_archive(tmp_path, name)
         edges, gexf = tmp_path / "edges.csv", tmp_path / "graph.gexf"
-        extra = ["--communities", "--gexf", str(gexf)] if communities else []
+        edges.write_bytes(b"old edges\n")
+        gexf.write_bytes(b"old gexf\n")
+        before = self.snapshot(tmp_path)
+        extra = [arg.format(gexf=gexf) for arg in extra]
         assert run(["interactions", str(archive), str(edges), *extra]) == 1
-        self.assert_failed_whole(capsys)
-        assert not edges.exists()
-        assert not gexf.exists()
+        self.assert_failed_whole(capsys, tmp_path, before)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["histogram", "{archive}", "{archive}"],
+            ["coordinates", "{archive}", "{archive}"],
+            ["interactions", "{archive}", "{archive}"],
+            ["interactions", "{archive}", "{edges}", "--gexf", "{archive}"],
+            ["interactions", "{archive}", "{edges}", "--gexf", "{edges}"],
+            ["interactions", "{archive}", "{new}", "--gexf", "{new}"],
+        ],
+    )
+    def test_output_that_is_the_archive_or_the_other_output(self, tmp_path, capsys, argv):
+        archive = self.odd_archive(tmp_path, "unai")
+        edges = tmp_path / "edges.csv"
+        edges.write_bytes(b"old edges\n")
+        before = self.snapshot(tmp_path)
+        paths = {"archive": archive, "edges": edges, "new": tmp_path / "new.csv"}
+        assert run([arg.format_map(paths) for arg in argv]) == 1
+        self.assert_failed_whole(capsys, tmp_path, before)
 
 
 class TestStatsCommand:
@@ -562,7 +608,7 @@ class TestCollectCommand:
 
 
 class TestReadSeam:
-    """perfbench times the archive read by rebinding ``cli.read_archive``."""
+    """perfbench times the program by rebinding names it looks up at call time."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -591,6 +637,23 @@ class TestReadSeam:
             reads.clear()
             assert run(argv) == 0, argv
             assert reads == [((), {"dedupe": True})], argv
+
+    def test_traced_names_resolve(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        from eventpulse import analytics, collector, graph
+
+        traced = [
+            *((analytics, name) for name in tracing.ANALYTICS),
+            *((graph, name) for name in tracing.GRAPH),
+            (collector, "parse_tweet"),
+            (collector, "matches_track"),
+            (collector.ArchiveWriter, "append"),
+        ]
+        for owner, name in traced:
+            assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
 
     def test_collect_reads_no_archive(self, small_archive, tmp_path, reads):
         argv = ["--data-dir", str(tmp_path / "data"), "collect", "stream", "proba",

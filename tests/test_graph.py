@@ -13,7 +13,6 @@ from eventpulse.graph import (
     export_edges_csv,
     export_gexf,
     extract_interactions,
-    import_edges_csv,
     label_propagation,
     notable_subgraph,
 )
@@ -313,8 +312,7 @@ class TestEdgeCsv:
         graph = undirected({("ha,na", "b"): 1})
         out = tmp_path / "edges.csv"
         export_edges_csv(graph, out)
-        assert b'"ha,na",b,1\n' in out.read_bytes()
-        assert import_edges_csv(out).nodes == {"ha,na", "b"}
+        assert out.read_bytes() == b'Source,Target,Weight\n"ha,na",b,1\n'
 
     @pytest.mark.parametrize("char", ["\ud800", "\udfff"])
     def test_name_utf8_cannot_hold_is_rejected_before_writing(self, tmp_path, char):
@@ -329,7 +327,7 @@ class TestEdgeCsv:
         graph = undirected({("a\x01", "b\ufffe"): 1})
         out = tmp_path / "edges.csv"
         export_edges_csv(graph, out)
-        assert import_edges_csv(out).nodes == {"a\x01", "b\ufffe"}
+        assert out.read_bytes() == "Source,Target,Weight\na\x01,b\ufffe,1\n".encode()
 
     def test_round_trip(self, tmp_path):
         graph = aggregate(
@@ -341,20 +339,12 @@ class TestEdgeCsv:
         )
         out = tmp_path / "edges.csv"
         export_edges_csv(graph, out)
-        back = import_edges_csv(out)
-        assert back.edges == graph.edges
-        assert back.nodes == graph.nodes
-
-    def test_import_rejects_foreign_csv(self, tmp_path):
-        out = tmp_path / "other.csv"
-        out.write_text("id,latitude,longitude\n1,2,3\n")
-        with pytest.raises(ValueError):
-            import_edges_csv(out)
-
-    def test_import_sums_repeated_rows(self, tmp_path):
-        out = tmp_path / "edges.csv"
-        out.write_text("Source,Target,Weight\na,b,1\na,b,2\n")
-        assert import_edges_csv(out).edges == {("a", "b", None): 3}
+        assert out.read_bytes() == (
+            b"Source,Target,Weight,Kind\n"
+            b"x,y,1,retweet\n"
+            b"y,x,1,reply\n"
+            b"z,z,1,reply\n"
+        )
 
 
 class TestGexf:
