@@ -82,7 +82,9 @@ def histogram(
     Each tweet lands in exactly one bucket, keyed by its timestamp
     shifted by ``tz_offset_minutes`` and truncated to the granularity.
     Buckets between the first and last non-empty one are emitted with
-    count 0 so plots show gaps instead of skipping them.
+    count 0 so plots show gaps instead of skipping them. Raises
+    ValueError naming the tweet whose shifted timestamp falls outside
+    the datetime range.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
@@ -91,16 +93,22 @@ def histogram(
     offset = timedelta(minutes=tz_offset_minutes)
     counts: Counter[datetime] = Counter()
     for tweet in tweets:
-        counts[_truncate(tweet.created_at + offset, granularity)] += 1
+        try:
+            shifted = tweet.created_at + offset
+        except OverflowError:
+            raise ValueError(
+                f"tweet {tweet.id}: {tweet.created_at.isoformat()} shifted by"
+                f" {tz_offset_minutes} minutes falls outside years 1-9999"
+            ) from None
+        counts[_truncate(shifted, granularity)] += 1
     if not counts:
         return []
     step = timedelta(hours=1) if granularity == "hour" else timedelta(days=1)
-    buckets = []
-    current, last = min(counts), max(counts)
-    while current <= last:
-        buckets.append(HistogramBucket(current, counts.get(current, 0)))
-        current += step
-    return buckets
+    first = min(counts)
+    # counted rather than stepped past the last bucket, which may be the
+    # last one a datetime can hold
+    starts = (first + n * step for n in range((max(counts) - first) // step + 1))
+    return [HistogramBucket(start, counts.get(start, 0)) for start in starts]
 
 
 def activity_counts(tweets: Iterable[Tweet]) -> Counter:

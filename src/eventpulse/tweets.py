@@ -80,11 +80,14 @@ class RetweetRef(NamedTuple):
 class Tweet:
     """One post, reduced to the fields the analytics need.
 
-    ``__post_init__`` guards Tweets built by hand: it rejects a bad id,
-    a naive timestamp, a bad author, a self-retweet or coordinates off
-    the globe, and turns hashtags and coordinates into tuples. The
-    archive reader builds Tweets without it, from fields its own
-    readers have already validated (see ``_build_tweet``).
+    A Tweet built by hand is held to the archive reader's rules: each
+    field must already be in the form the reader gives it, and
+    ``__post_init__`` asks the reader's own rule whether it is. Any
+    other value raises ParseError (a ValueError) naming the field.
+    Hashtags are turned into a tuple and integer coordinates into a
+    tuple of floats. The archive reader builds Tweets without
+    ``__post_init__``, from fields its rules have just given (see
+    ``_build_tweet``).
 
     Attributes:
         id: Unique post identifier, 0 < id < 2**64.
@@ -111,23 +114,43 @@ class Tweet:
     retweet_count: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or not 0 < self.id <= MAX_ID:
-            raise ValueError(f"tweet id out of range: {self.id!r}")
-        if self.created_at.tzinfo is None:
-            raise ValueError("created_at must be timezone-aware")
-        if not self.author or self.author.startswith("@"):
-            raise ValueError(f"bad author screen name: {self.author!r}")
+        _as_read("id", self.id, _parse_id(self.id, "id"))
+        if not (isinstance(self.created_at, datetime) and _utc_seconds(self.created_at)):
+            raise ParseError(
+                "created_at", f"expected a UTC datetime in whole seconds, got {self.created_at!r}"
+            )
+        _as_read("author", self.author, _screen_name(self.author))
+        if self.retweet_of is not None:
+            if not isinstance(self.retweet_of, RetweetRef):
+                raise ParseError("retweet_of", f"expected a RetweetRef, got {self.retweet_of!r}")
+            original_id, original_author = self.retweet_of
+            field_name = "retweet_of.original_tweet_id"
+            _as_read(field_name, original_id, _parse_id(original_id, field_name))
+            if original_id == self.id:
+                raise ParseError(field_name, "retweet references itself")
+            _as_read("retweet_of.original_author", original_author, _screen_name(original_author))
+        if self.reply_to is not None:
+            _as_read("reply_to", self.reply_to, _screen_name(self.reply_to))
+        if self.retweet_count is not None:
+            _as_read("retweet_count", self.retweet_count, _counter(self.retweet_count))
         if type(self.hashtags) is not tuple:
             object.__setattr__(self, "hashtags", tuple(self.hashtags))
-        if self.retweet_of is not None:
-            if self.retweet_of.original_tweet_id == self.id:
-                raise ValueError("retweet cannot reference itself")
         if self.coords is not None:
-            lat, lon = self.coords
-            if not _on_globe(lat, lon):
-                raise ValueError(f"coordinates out of range: {self.coords!r}")
-            if not (type(self.coords) is tuple and type(lat) is float and type(lon) is float):
-                object.__setattr__(self, "coords", (float(lat), float(lon)))
+            pair = self.coords
+            point = _lat_lon(*pair) if isinstance(pair, (tuple, list)) and len(pair) == 2 else None
+            if point is None:
+                raise ParseError("coords", f"expected (latitude, longitude) on the globe: {pair!r}")
+            if not (type(pair) is tuple and type(pair[0]) is float and type(pair[1]) is float):
+                object.__setattr__(self, "coords", point)
+
+
+def _as_read(field_name: str, value: object, read: object) -> None:
+    """Raise ParseError(field_name) unless ``read``, the reader's output for ``value``, equals it.
+
+    None, which a reader gives for "absent", never passes.
+    """
+    if read is None or read != value:
+        raise ParseError(field_name, f"not in the form the archive reader gives: {value!r}")
 
 
 @dataclass
@@ -153,6 +176,11 @@ def _classic_stamp(value: str) -> datetime | None:
         )
     except ValueError:  # Feb 30, second 60, offset of 24 h or more, year 0
         return None
+
+
+def _utc_seconds(stamp: datetime) -> bool:
+    """Whether ``stamp`` is as ``_parse_timestamp`` returns it: in timezone.utc, whole seconds."""
+    return stamp.tzinfo is timezone.utc and not stamp.microsecond
 
 
 def _parse_timestamp(value: object) -> datetime:
@@ -191,7 +219,7 @@ def _parse_timestamp(value: object) -> datetime:
             stamp = datetime.fromisoformat(iso)
         except ValueError:
             raise ParseError("created_at", f"unparseable timestamp: {value!r}") from None
-    if stamp.tzinfo is timezone.utc and not stamp.microsecond:
+    if _utc_seconds(stamp):
         return stamp
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
@@ -264,24 +292,29 @@ def _counter(value: object) -> int | None:
     return value if type(value) is int and value >= 0 else None
 
 
-def _on_globe(lat: float, lon: float) -> bool:
-    return -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
+def _lat_lon(lat: object, lon: object) -> tuple[float, float] | None:
+    """(latitude, longitude) as floats if both are numbers on the globe, else None.
+
+    Bools are not numbers here. The range is checked before float(), so
+    an integer too big for a float is off the globe, not an error.
+    """
+    if type(lat) in (int, float) and type(lon) in (int, float):
+        if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+            return float(lat), float(lon)
+    return None
 
 
 def _point(container: object, lat_at: int) -> tuple[float, float] | None:
     """(latitude, longitude) of ``container["coordinates"]``, or None.
 
-    Latitude is item ``lat_at`` of the list. The range is checked before
-    float(), so an integer too big for a float is off the globe, not an error.
+    Latitude is item ``lat_at`` of the list.
     """
     if not isinstance(container, dict):
         return None
     pair = container.get("coordinates")
     if not isinstance(pair, (list, tuple)) or len(pair) < 2:
         return None
-    lat, lon = pair[lat_at], pair[1 - lat_at]
-    numbers = type(lat) in (int, float) and type(lon) in (int, float)  # bools are not
-    return (float(lat), float(lon)) if numbers and _on_globe(lat, lon) else None
+    return _lat_lon(pair[lat_at], pair[1 - lat_at])
 
 
 def _parse_coords(geojson: object, legacy: object) -> tuple[float, float] | None:

@@ -89,6 +89,27 @@ class TestHistogram:
         behind = histogram(tweets, tz_offset_minutes=-840)
         assert behind[0].bucket_start == at(22, day=18)
 
+    def test_last_bucket_a_datetime_can_hold(self):
+        def end(hour: int, minute: int = 0) -> datetime:
+            return datetime(9999, 12, 31, hour, minute, tzinfo=timezone.utc)
+
+        tweets = [make_tweet(1, created_at=end(21, 30)), make_tweet(2, created_at=end(23, 30))]
+        assert histogram(tweets) == [
+            HistogramBucket(end(21), 1),
+            HistogramBucket(end(22), 0),
+            HistogramBucket(end(23), 1),
+        ]
+        assert histogram(tweets, granularity="day") == [HistogramBucket(end(0), 2)]
+
+    @pytest.mark.parametrize(
+        "stamp, offset",
+        [(datetime(9999, 12, 31, 23, 30), 60), (datetime(1, 1, 1, 0, 30), -60)],
+    )
+    def test_shift_past_the_datetime_range_names_the_tweet(self, stamp, offset):
+        tweets = [make_tweet(1), make_tweet(7, created_at=stamp.replace(tzinfo=timezone.utc))]
+        with pytest.raises(ValueError, match="^tweet 7: .* falls outside years 1-9999$"):
+            histogram(tweets, "day", offset)
+
 
 class TestUserRankings:
     def tweets_for_activity(self):

@@ -126,6 +126,25 @@ class TestHistogramCommand:
         run(["--tz", "60", "histogram", str(small_archive), str(out), "--tz", "0"])
         assert out.read_bytes().startswith(b"2015-03-19T10:00:00\t2\n")
 
+    def test_edges_of_the_datetime_range(self, tmp_path, capsys):
+        last = write_archive(tmp_path / "l.jsonl", [record_line(created_at="9999-12-31T23:30:00Z")])
+        out = tmp_path / "hist.dat"
+        for granularity, bucket in (("hour", b"23"), ("day", b"00")):
+            assert run(["histogram", str(last), str(out), "--granularity", granularity]) == 0
+            assert out.read_bytes() == b"9999-12-31T" + bucket + b":00:00\t1\n"
+        out.unlink()
+        capsys.readouterr()
+        first = write_archive(
+            tmp_path / "f.jsonl", [record_line(id=7, created_at="0001-01-01T00:30:00Z")]
+        )
+        assert run(["--tz", "-60", "histogram", str(first), str(out)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: tweet 7: 0001-01-01T00:30:00+00:00 shifted by -60 minutes"
+            " falls outside years 1-9999\n",
+        )
+        assert not out.exists()
+
 
 class TestRankingCommands:
     def test_top_users_table_has_at_signs(self, small_archive, capsys):

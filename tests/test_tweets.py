@@ -240,6 +240,28 @@ class TestTweetValidation:
         with pytest.raises(ValueError):
             make_tweet(1, coords=(0.0, -181.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("id", True),
+            ("created_at", "2015-03-19T18:00:00Z"),
+            ("author", " ane "),
+            ("author", 5),
+            ("reply_to", "@mikel"),
+            ("reply_to", ""),
+            ("retweet_count", True),
+            ("retweet_count", -3),
+            ("retweet_of", RetweetRef(0, "bi")),
+            ("retweet_of", RetweetRef(2, "@bi")),
+            ("retweet_of", (2, "bi")),
+            ("coords", (True, 5)),
+        ],
+    )
+    def test_values_the_reader_never_gives_are_rejected(self, field, value):
+        with pytest.raises(ParseError) as caught:
+            Tweet(**{"id": 1, "created_at": BASE_TIME, "author": "ane", field: value})
+        assert caught.value.field.split(".")[0] == field
+
     def test_hashtags_end_up_as_tuple(self):
         tweet = make_tweet(1, hashtags=["a", "b"])  # type: ignore[arg-type]
         assert tweet.hashtags == ("a", "b")
