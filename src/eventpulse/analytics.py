@@ -12,10 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .tweets import Tweet, _csv_text, _name_order, _write_text
+from .tweets import Tweet, _csv_text, _name_order
 
 __all__ = [
     "HistogramBucket",
@@ -248,20 +247,17 @@ def extract_coordinates(
     ]
 
 
-def write_histogram_dat(
-    buckets: Iterable[HistogramBucket], path: str | Path
-) -> None:
-    """Write "<ISO-8601 bucket start>\\t<count>" lines, LF terminated.
+def write_histogram_dat(buckets: Iterable[HistogramBucket]) -> str:
+    """The histogram as "<ISO-8601 bucket start>\\t<count>" lines, LF terminated.
 
-    Bucket starts are written without a UTC suffix: they are clock
-    times under the offset the histogram was built with.
+    Bucket starts are given without a UTC suffix: they are clock times
+    under the offset the histogram was built with.
     """
-    lines = (f"{b.bucket_start.replace(tzinfo=None).isoformat()}\t{b.count}\n" for b in buckets)
-    _write_text(path, "".join(lines))
+    return "".join(
+        f"{b.bucket_start.replace(tzinfo=None).isoformat()}\t{b.count}\n" for b in buckets
+    )
 
 
-def write_coordinates_csv(
-    rows: Iterable[tuple[int, float, float]], path: str | Path
-) -> None:
-    """Write an "id,latitude,longitude" CSV, LF line endings."""
-    _write_text(path, _csv_text(["id", "latitude", "longitude"], rows))
+def write_coordinates_csv(rows: Iterable[tuple[int, float, float]]) -> str:
+    """The rows as an "id,latitude,longitude" CSV, LF line endings."""
+    return _csv_text(["id", "latitude", "longitude"], rows)

@@ -1,12 +1,15 @@
 """Command line front end: collect archives and run the analytics.
 
 Exit codes: 0 on success, 1 on operational failures (missing files,
-bad archives, bad endpoints, an output that is the archive; message on
-stderr), 2 on usage errors. One read, one render, one write: ``run``
-reads the archive once, the command writes its files and renders its
-stdout as one text, and ``run`` writes that text in one call, so a
-failed command prints only its ``error:`` line. With a fixed seed every
-subcommand writes byte-identical output files across reruns.
+bad archives, bad endpoints, an unusable output; message on stderr), 2
+on usage errors. One read, one render, one commit: ``run`` reads the
+archive once; an analysis command writes nothing and returns its stdout
+text and the text of each output file; ``run`` encodes all of them
+before it opens a file, then writes the files in order and stdout last.
+So a file text UTF-8 cannot carry, or a stdout text the stream cannot
+encode, fails the command with only its ``error:`` line and leaves every
+file as it was. With a fixed seed every subcommand writes
+byte-identical output files across reruns.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import os
 import signal
 import sys
 import threading
-from pathlib import Path
 from typing import Sequence
 
 from . import analytics, graph as graphs
@@ -34,6 +36,9 @@ from .tweets import ParseError, ParseStats, Tweet, _csv_text, read_archive
 
 DEFAULT_DATA_DIR = "./data"
 DEFAULT_SEED = 42
+
+# a command's stdout text and the (path, text) of each file for run to write
+Rendered = tuple[str, list[tuple[str, str]]]
 
 
 def _table_text(headers: list[str], rows: list[list[str]]) -> str:
@@ -73,10 +78,8 @@ def _squash(text: str, limit: int = 60) -> str:
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_collect(args: argparse.Namespace) -> str:
-    job = CollectionJob(
-        args.mode, args.event_name, tuple(args.terms), Path(args.data_dir)
-    )
+def _cmd_collect(args: argparse.Namespace) -> Rendered:
+    job = CollectionJob(args.mode, args.event_name, tuple(args.terms), args.data_dir)
     endpoint = args.endpoint
     if endpoint is None:
         raise ValueError("no endpoint; pass --endpoint tcp://HOST:PORT or --endpoint FILE")
@@ -109,7 +112,7 @@ def _cmd_collect(args: argparse.Namespace) -> str:
     return (
         f"received {stats.received}, matched {stats.matched}, "
         f"written {stats.written}, reconnects {stats.reconnects}\n"
-    )
+    ), []
 
 
 def _tcp_address(endpoint: str) -> tuple[str, int]:
@@ -129,33 +132,33 @@ def _tcp_address(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _cmd_histogram(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
+def _cmd_histogram(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> Rendered:
     tz = args.histogram_tz if args.histogram_tz is not None else args.tz
     buckets = analytics.histogram(tweets, args.granularity, tz)
-    analytics.write_histogram_dat(buckets, args.output)
-    return f"{len(buckets)} buckets -> {args.output}\n"
+    text = f"{len(buckets)} buckets -> {args.output}\n"
+    return text, [(args.output, analytics.write_histogram_dat(buckets))]
 
 
-def _cmd_top_tweets(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
+def _cmd_top_tweets(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> Rendered:
     entries = analytics.top_tweets_by_retweets(tweets, args.k, args.count_source)
-    return _ranking_text(entries, args.format, user_keys=False)
+    return _ranking_text(entries, args.format, user_keys=False), []
 
 
-def _cmd_top_users(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
+def _cmd_top_users(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> Rendered:
     if args.by == "activity":
         entries = analytics.top_users_by_activity(tweets, args.k)
     else:
         entries = analytics.top_users_by_received_retweets(tweets, args.k)
-    return _ranking_text(entries, args.format, user_keys=True)
+    return _ranking_text(entries, args.format, user_keys=True), []
 
 
-def _cmd_coordinates(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
+def _cmd_coordinates(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> Rendered:
     rows = analytics.extract_coordinates(tweets)
-    analytics.write_coordinates_csv(rows, args.output)
-    return f"{len(rows)} geotagged tweets -> {args.output}\n"
+    text = f"{len(rows)} geotagged tweets -> {args.output}\n"
+    return text, [(args.output, analytics.write_coordinates_csv(rows))]
 
 
-def _cmd_interactions(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
+def _cmd_interactions(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> Rendered:
     edges = graphs.extract_interactions(tweets)
     g = graphs.aggregate(edges, merge_kinds=args.merge_kinds)
     if args.top is not None:
@@ -164,6 +167,7 @@ def _cmd_interactions(args: argparse.Namespace, tweets: list[Tweet], stats: Pars
         f"{len(edges)} interactions, {len(g.nodes)} nodes, "
         f"{len(g.edges)} edges -> {args.output}\n"
     )
+    outputs = [(args.output, graphs.export_edges_csv(g))]
     if args.communities or args.gexf:
         communities = graphs.label_propagation(g, seed=args.seed)
         if args.communities:
@@ -175,15 +179,12 @@ def _cmd_interactions(args: argparse.Namespace, tweets: list[Tweet], stats: Pars
                     [[node, str(label)] for node, label in communities.items()],
                 )
         if args.gexf:
-            # first: the XML name check rejects every name the UTF-8 check
-            # of the edge CSV rejects, so a failing name writes no file
-            graphs.export_gexf(g, communities, args.gexf)
+            outputs.append((args.gexf, graphs.export_gexf(g, communities)))
             text += f"gexf -> {args.gexf}\n"
-    graphs.export_edges_csv(g, args.output)
-    return text
+    return text, outputs
 
 
-def _cmd_stats(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> str:
+def _cmd_stats(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> Rendered:
     text = (
         f"{len(tweets)} tweets ({stats.total_lines} lines: {stats.parsed} parsed, "
         f"{stats.skipped_malformed} malformed, {stats.duplicates_dropped} duplicate)\n"
@@ -194,7 +195,7 @@ def _cmd_stats(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats)
         last = max(t.created_at for t in tweets)
         text += f"{len(authors)} distinct users\n"
         text += f"span {first.isoformat()} .. {last.isoformat()}\n"
-    return text
+    return text, []
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -207,11 +208,13 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse an output that is the archive, or two outputs that are one file."""
+    """Refuse an output that is the archive, a directory or in none, or one file named twice."""
     outputs = [path for path in (vars(args).get("output"), vars(args).get("gexf")) if path]
     for output in outputs:
         if _same_file(output, args.archive):
             raise ValueError(f"output {output!r} is the archive being read")
+        if os.path.isdir(output) or not os.path.isdir(os.path.dirname(output) or "."):
+            raise ValueError(f"output {output!r} is not a file in an existing directory")
     if len(outputs) == 2 and _same_file(*outputs):
         raise ValueError(f"the edge CSV and --gexf name one file: {outputs[1]!r}")
 
@@ -298,13 +301,21 @@ def run(argv: Sequence[str] | None = None) -> int:
         if abs(args.tz) > analytics.MAX_TZ_OFFSET_MINUTES:
             raise ValueError(f"tz offset out of range: {args.tz}")
         if args.command == "collect":
-            text = _cmd_collect(args)
+            text, outputs = _cmd_collect(args)
         else:
             _check_outputs(args)
             # looked up at call time: perfbench/tracing.py rebinds cli.read_archive
-            text = args.func(args, *read_archive(args.archive, dedupe=True))
-        # one write of the whole text: what stdout cannot encode (a lone
-        # surrogate in a name) fails it before any line is printed
+            text, outputs = args.func(args, *read_archive(args.archive, dedupe=True))
+        # everything is encoded before the first file is opened: a name or
+        # path that UTF-8 or stdout cannot carry writes nothing. A StringIO
+        # stdout has no encoding and takes any str.
+        files = [(path, content.encode("utf-8")) for path, content in outputs]
+        encoding = getattr(sys.stdout, "encoding", None)
+        if encoding:
+            text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+        for path, data in files:
+            with open(path, "wb") as handle:
+                handle.write(data)
         sys.stdout.write(text)
         return 0
     except (ParseError, OSError, ValueError) as exc:

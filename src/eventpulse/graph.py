@@ -12,10 +12,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
-from .tweets import Tweet, _csv_text, _name_order, _write_text
+from .tweets import Tweet, _csv_text, _name_order
 
 __all__ = [
     "KIND_REPLY",
@@ -38,8 +37,6 @@ GEXF_NAMESPACE = "http://www.gexf.net/1.2draft"
 # C0 controls but tab, LF and CR, lone surrogates, U+FFFE and U+FFFF:
 # XML 1.0 cannot carry them, not even as character references
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-# lone surrogates: the only str characters UTF-8 cannot encode
-_NOT_UTF8_CHAR = re.compile("[\ud800-\udfff]")
 
 _MAX_SWEEPS = 100  # label propagation stops here if it has not settled
 
@@ -239,21 +236,19 @@ def _check_names(graph: WeightedGraph, unwritable: re.Pattern, format_name: str)
         raise ValueError(f"node name(s) {format_name} cannot hold: {bad[:3]}")
 
 
-def export_edges_csv(graph: WeightedGraph, path: str | Path) -> None:
-    """Write "Source,Target,Weight[,Kind]" rows; Kind is omitted when merged.
+def export_edges_csv(graph: WeightedGraph) -> str:
+    """The graph as "Source,Target,Weight[,Kind]" CSV text; Kind is omitted when merged.
 
-    Fields are quoted only when they need it. The row order is the
-    sorted edge order, so identical graphs always produce identical
-    bytes. A node name that UTF-8 cannot encode raises ValueError
-    before the file is opened.
+    Fields are quoted only when they need it, and rows end in LF. The
+    row order is the sorted edge order, so identical graphs always give
+    identical text.
     """
-    _check_names(graph, _NOT_UTF8_CHAR, "UTF-8")
     columns = 4 if any(key[2] is not None for key in graph.edges) else 3
     rows = (
         (source, target, weight, kind or "")[:columns]
         for (source, target, kind), weight in _sorted_edge_items(graph)
     )
-    _write_text(path, _csv_text(["Source", "Target", "Weight", "Kind"][:columns], rows))
+    return _csv_text(["Source", "Target", "Weight", "Kind"][:columns], rows)
 
 
 def _quote_attr(text: str) -> str:
@@ -269,20 +264,17 @@ def _quote_attr(text: str) -> str:
     )
 
 
-def export_gexf(
-    graph: WeightedGraph, communities: dict[str, int], path: str | Path
-) -> None:
-    """Write GEXF 1.2 XML with a "community" integer attribute per node.
+def export_gexf(graph: WeightedGraph, communities: dict[str, int]) -> str:
+    """The graph as GEXF 1.2 XML text, with a "community" integer attribute per node.
 
     Edge weights ride on the standard ``weight`` edge attribute; when
     the graph still distinguishes interaction kinds, a string "kind"
     edge attribute is declared and filled. Output is fully sorted, so
-    equal inputs produce identical bytes. The document is rendered as
-    text, two-space indented with LF line ends, and written at once; on
-    POSIX its bytes are the ones ``xml.etree.ElementTree`` writes for
-    the same tree after ``ET.indent``. A node without a community, or a
-    node name that XML 1.0 cannot carry, raises ValueError before the
-    file is opened.
+    equal inputs give identical text. The text is two-space indented
+    with LF line ends; encoded as UTF-8 it is the bytes
+    ``xml.etree.ElementTree`` writes on POSIX for the same tree after
+    ``ET.indent``. A node without a community, or a node name that XML
+    1.0 cannot carry, raises ValueError.
     """
     missing = graph.nodes - communities.keys()
     if missing:
@@ -349,4 +341,4 @@ def export_gexf(
         parts.append("    </edges>\n")
     parts.append("  </graph>\n</gexf>")
 
-    _write_text(path, "".join(parts))
+    return "".join(parts)

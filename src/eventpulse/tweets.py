@@ -84,8 +84,8 @@ class Tweet:
     field must already be in the form the reader gives it, and
     ``__post_init__`` asks the reader's own rule whether it is. Any
     other value raises ParseError (a ValueError) naming the field.
-    Hashtags are turned into a tuple and integer coordinates into a
-    tuple of floats. The archive reader builds Tweets without
+    A list of hashtags is turned into a tuple, and integer coordinates
+    into a tuple of floats. The archive reader builds Tweets without
     ``__post_init__``, from fields its rules have just given (see
     ``_build_tweet``).
 
@@ -133,8 +133,16 @@ class Tweet:
             _as_read("reply_to", self.reply_to, _screen_name(self.reply_to))
         if self.retweet_count is not None:
             _as_read("retweet_count", self.retweet_count, _counter(self.retweet_count))
-        if type(self.hashtags) is not tuple:
-            object.__setattr__(self, "hashtags", tuple(self.hashtags))
+        if not isinstance(self.text, str):
+            raise ParseError("text", f"expected a str, got {self.text!r}")
+        tags = self.hashtags
+        # as _text_and_hashtags gives them: non-empty and already lowercase
+        if not (isinstance(tags, (tuple, list)) and all(
+            isinstance(tag, str) and tag and tag == tag.lower() for tag in tags
+        )):
+            raise ParseError("hashtags", f"expected non-empty lowercase str tags, got {tags!r}")
+        if type(tags) is not tuple:
+            object.__setattr__(self, "hashtags", tuple(tags))
         if self.coords is not None:
             pair = self.coords
             point = _lat_lon(*pair) if isinstance(pair, (tuple, list)) and len(pair) == 2 else None
@@ -270,15 +278,6 @@ def _csv_text(header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return text.getvalue()
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 in one call, line ends as they are."""
-    # encoded whole first: a character UTF-8 cannot hold raises ValueError
-    # before an existing file is truncated
-    data = text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
 
 
 def _parse_screen_name(container: object, field_name: str) -> str:

@@ -9,6 +9,7 @@ corpus test skips cleanly when the corpus file is absent.
 """
 
 import csv
+import io
 import random
 import threading
 import time
@@ -520,7 +521,7 @@ def test_criterion_4_reference_corpus():
 # --- criterion 5: export validity on 100 random graphs -----------------------
 
 
-def test_criterion_5_export_validity(tmp_path):
+def test_criterion_5_export_validity():
     with criterion(
         5,
         "GEXF output is structurally valid and edge CSV round-trips "
@@ -538,10 +539,8 @@ def test_criterion_5_export_validity(tmp_path):
                 g.edges[key] = g.edges.get(key, 0) + rng.randint(1, 9)
                 g.nodes.update((source, target))
 
-            csv_path = tmp_path / f"edges-{i}.csv"
-            graph.export_edges_csv(g, csv_path)
-            with open(csv_path, encoding="utf-8", newline="") as handle:
-                _header, *rows = csv.reader(handle)
+            csv_text = graph.export_edges_csv(g)
+            _header, *rows = csv.reader(io.StringIO(csv_text, newline=""))
             back = {
                 (row[0], row[1], None if merged else row[3]): int(row[2]) for row in rows
             }
@@ -550,11 +549,10 @@ def test_criterion_5_export_validity(tmp_path):
             assert {name for key in back for name in key[:2]} == g.nodes
 
             communities = graph.label_propagation(g, seed=i)
-            gexf_path = tmp_path / f"graph-{i}.gexf"
-            graph.export_gexf(g, communities, gexf_path)
-            assert gexf_problems(gexf_path) == []
+            gexf_bytes = graph.export_gexf(g, communities).encode("utf-8")
+            assert gexf_problems(io.BytesIO(gexf_bytes)) == []
 
-            parsed = nx.read_gexf(gexf_path)
+            parsed = nx.read_gexf(io.BytesIO(gexf_bytes))
             assert set(parsed.nodes) == g.nodes
             for node, data in parsed.nodes(data=True):
                 assert data["community"] == communities[node]

@@ -272,20 +272,15 @@ class TestCoordinates:
 
 
 class TestWriters:
-    def test_histogram_dat_bytes(self, tmp_path):
+    def test_histogram_dat_bytes(self):
         buckets = [HistogramBucket(at(10), 2), HistogramBucket(at(11), 1)]
-        out = tmp_path / "hist.dat"
-        write_histogram_dat(buckets, out)
-        assert out.read_bytes() == (
+        assert write_histogram_dat(buckets).encode("utf-8") == (
             b"2015-03-19T10:00:00\t2\n2015-03-19T11:00:00\t1\n"
         )
 
-    def test_coordinates_csv_bytes(self, tmp_path):
-        out = tmp_path / "coords.csv"
-        write_coordinates_csv([(5, 43.26, -2.67)], out)
-        assert out.read_bytes() == b"id,latitude,longitude\n5,43.26,-2.67\n"
+    def test_coordinates_csv_bytes(self):
+        text = write_coordinates_csv([(5, 43.26, -2.67)])
+        assert text.encode("utf-8") == b"id,latitude,longitude\n5,43.26,-2.67\n"
 
-    def test_empty_coordinates_csv_is_header_only(self, tmp_path):
-        out = tmp_path / "coords.csv"
-        write_coordinates_csv([], out)
-        assert out.read_bytes() == b"id,latitude,longitude\n"
+    def test_empty_coordinates_csv_is_header_only(self):
+        assert write_coordinates_csv([]).encode("utf-8") == b"id,latitude,longitude\n"

@@ -7,6 +7,7 @@ import signal
 import socket
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -346,10 +347,20 @@ class TestUnencodableNames:
     """A command that cannot write all its outputs fails whole.
 
     A name with a lone surrogate (valid JSON "\\ud800") fails UTF-8, one
-    with a control character fails only the GEXF writer, and an output
-    that is the archive fails every command that writes one. Each prints
-    only its ``error:`` line and leaves every file as it was.
+    with a control character fails only the GEXF writer, a name or path
+    that stdout cannot encode fails the stdout text, and an output that
+    is the archive, a directory or in none fails every command that
+    writes one. Each prints only its ``error:`` line and leaves every
+    file as it was. Stdout is UTF-8 here and ASCII in the subclass below.
     """
+
+    encoding = "utf-8"
+
+    def run_cli(self, argv):
+        """``run(argv)`` with stdout in ``self.encoding``: the exit code and the bytes printed."""
+        stream = io.TextIOWrapper(io.BytesIO(), encoding=self.encoding, write_through=True)
+        with redirect_stdout(stream):
+            return run(argv), stream.buffer.getvalue()
 
     @staticmethod
     def odd_archive(tmp_path, name):
@@ -373,10 +384,11 @@ class TestUnencodableNames:
     def snapshot(directory):
         return {path.name: path.read_bytes() for path in directory.iterdir()}
 
-    def assert_failed_whole(self, capsys, directory, before):
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
+    def assert_fails_whole(self, capsys, argv, directory):
+        """``argv`` exits 1 with one ``error:`` line, prints nothing and changes no file."""
+        before = self.snapshot(directory)
+        assert self.run_cli([str(arg) for arg in argv]) == (1, b"")
+        lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert self.snapshot(directory) == before
 
@@ -391,9 +403,7 @@ class TestUnencodableNames:
         ],
     )
     def test_ranking_prints_nothing(self, archive, tmp_path, capsys, argv):
-        before = self.snapshot(tmp_path)
-        assert run([*argv, "-f", str(archive)]) == 1
-        self.assert_failed_whole(capsys, tmp_path, before)
+        self.assert_fails_whole(capsys, [*argv, "-f", archive], tmp_path)
 
     @pytest.mark.parametrize(
         "name, extra",
@@ -410,10 +420,26 @@ class TestUnencodableNames:
         edges, gexf = tmp_path / "edges.csv", tmp_path / "graph.gexf"
         edges.write_bytes(b"old edges\n")
         gexf.write_bytes(b"old gexf\n")
-        before = self.snapshot(tmp_path)
         extra = [arg.format(gexf=gexf) for arg in extra]
-        assert run(["interactions", str(archive), str(edges), *extra]) == 1
-        self.assert_failed_whole(capsys, tmp_path, before)
+        self.assert_fails_whole(capsys, ["interactions", archive, edges, *extra], tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, argv, shown",
+        [
+            ("José", ["interactions", "{archive}", "{dir}/e.csv", "--communities", "--gexf",
+                      "{dir}/g.gexf"], "José"),
+            ("unai", ["histogram", "{archive}", "{dir}/hé.dat"], "hé.dat"),
+        ],
+        ids=["non-ascii-name", "non-ascii-path"],
+    )
+    def test_what_stdout_cannot_print_writes_no_file(self, tmp_path, capsys, name, argv, shown):
+        archive = self.odd_archive(tmp_path, name)
+        argv = [arg.format(archive=archive, dir=tmp_path) for arg in argv]
+        if self.encoding == "ascii":
+            self.assert_fails_whole(capsys, argv, tmp_path)
+        else:
+            code, printed = self.run_cli(argv)
+            assert code == 0 and shown.encode() in printed
 
     @pytest.mark.parametrize(
         "argv",
@@ -424,16 +450,22 @@ class TestUnencodableNames:
             ["interactions", "{archive}", "{edges}", "--gexf", "{archive}"],
             ["interactions", "{archive}", "{edges}", "--gexf", "{edges}"],
             ["interactions", "{archive}", "{new}", "--gexf", "{new}"],
+            ["histogram", "{archive}", "{dir}/nodir/h.dat"],
+            ["interactions", "{archive}", "{dir}/nodir/e.csv", "--gexf", "{new}"],
+            ["interactions", "{archive}", "{edges}", "--gexf", "{dir}/nodir/g.gexf"],
+            ["interactions", "{archive}", "{edges}", "--gexf", "{dir}"],
         ],
     )
     def test_output_that_is_the_archive_or_the_other_output(self, tmp_path, capsys, argv):
         archive = self.odd_archive(tmp_path, "unai")
         edges = tmp_path / "edges.csv"
         edges.write_bytes(b"old edges\n")
-        before = self.snapshot(tmp_path)
-        paths = {"archive": archive, "edges": edges, "new": tmp_path / "new.csv"}
-        assert run([arg.format_map(paths) for arg in argv]) == 1
-        self.assert_failed_whole(capsys, tmp_path, before)
+        paths = {"archive": archive, "edges": edges, "new": tmp_path / "new.csv", "dir": tmp_path}
+        self.assert_fails_whole(capsys, [arg.format_map(paths) for arg in argv], tmp_path)
+
+
+class TestUnencodableNamesOnAsciiStdout(TestUnencodableNames):
+    encoding = "ascii"
 
 
 class TestStatsCommand:

@@ -255,6 +255,14 @@ class TestTweetValidation:
             ("retweet_of", RetweetRef(2, "@bi")),
             ("retweet_of", (2, "bi")),
             ("coords", (True, 5)),
+            ("text", None),
+            ("text", b"bat"),
+            ("hashtags", [5]),
+            ("hashtags", [None]),
+            ("hashtags", [""]),
+            ("hashtags", ["GORA"]),
+            ("hashtags", "gora"),
+            ("hashtags", [5, None, "", "GORA"]),
         ],
     )
     def test_values_the_reader_never_gives_are_rejected(self, field, value):
