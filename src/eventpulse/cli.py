@@ -1,15 +1,16 @@
 """Command line front end: collect archives and run the analytics.
 
-Exit codes: 0 on success, 1 on operational failures (missing files,
-bad archives, bad endpoints, an unusable output; message on stderr), 2
-on usage errors. One read, one render, one commit: ``run`` reads the
-archive once; an analysis command writes nothing and returns its stdout
-text and the text of each output file; ``run`` encodes all of them
-before it opens a file, then writes the files in order and stdout last.
-So a file text UTF-8 cannot carry, or a stdout text the stream cannot
-encode, fails the command with only its ``error:`` line and leaves every
-file as it was. With a fixed seed every subcommand writes
-byte-identical output files across reruns.
+Exit codes: 0 on success, 1 on operational failures (missing files, bad
+archives, bad endpoints, a ``--tz`` past +-840, an unusable output;
+message on stderr), 2 on usage errors, such as an option put before its
+subcommand or a missing ``--endpoint``. One read, one render, one
+commit: ``run`` reads the archive once; an analysis command writes
+nothing and returns its stdout text and the text of each output file;
+``run`` encodes all of them before it opens a file, then writes the
+files in order and stdout last. So a file text UTF-8 cannot carry, or a
+stdout text the stream cannot encode, fails the command with only its
+``error:`` line and leaves every file as it was. With a fixed seed every
+subcommand writes byte-identical output files across reruns.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ def _squash(text: str, limit: int = 60) -> str:
 def _cmd_collect(args: argparse.Namespace) -> Rendered:
     job = CollectionJob(args.mode, args.event_name, tuple(args.terms), args.data_dir)
     endpoint = args.endpoint
-    if endpoint is None:
-        raise ValueError("no endpoint; pass --endpoint tcp://HOST:PORT or --endpoint FILE")
     stream = job.mode == "stream"
     if not endpoint.startswith("tcp://"):
         source = ReplaySource.from_file(endpoint.removeprefix("file://"))
@@ -133,8 +132,7 @@ def _tcp_address(endpoint: str) -> tuple[str, int]:
 
 
 def _cmd_histogram(args: argparse.Namespace, tweets: list[Tweet], stats: ParseStats) -> Rendered:
-    tz = args.histogram_tz if args.histogram_tz is not None else args.tz
-    buckets = analytics.histogram(tweets, args.granularity, tz)
+    buckets = analytics.histogram(tweets, args.granularity, args.tz)
     text = f"{len(buckets)} buckets -> {args.output}\n"
     return text, [(args.output, analytics.write_histogram_dat(buckets))]
 
@@ -227,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eventpulse",
         description="Collect keyword-filtered posts and analyze an event archive.",
     )
-    parser.add_argument("--data-dir", metavar="DIR", default=DEFAULT_DATA_DIR)
-    parser.add_argument("--format", choices=("table", "csv"), default="table")
-    parser.add_argument("--tz", type=int, default=0, metavar="MINUTES")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -241,18 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument(
         "--endpoint",
         metavar="URL",
-        default=None,
+        required=True,
         help="tcp://HOST:PORT or a line-delimited file to replay",
     )
+    collect.add_argument("--data-dir", metavar="DIR", default=DEFAULT_DATA_DIR)
 
     hist = commands.add_parser("histogram", help="tweets per hour or day")
     hist.add_argument("archive")
     hist.add_argument("output")
     hist.add_argument("--granularity", choices=analytics.GRANULARITIES, default="hour")
-    # separate dest: a subparser default would clobber the root --tz value
-    hist.add_argument(
-        "--tz", type=int, default=None, metavar="MINUTES", dest="histogram_tz"
-    )
+    hist.add_argument("--tz", type=int, default=0, metavar="MINUTES")
     hist.set_defaults(func=_cmd_histogram)
 
     tweets_cmd = commands.add_parser("top-tweets", help="most retweeted tweets")
@@ -261,12 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     tweets_cmd.add_argument(
         "--count-source", choices=analytics.COUNT_SOURCES, default="observed"
     )
+    tweets_cmd.add_argument("--format", choices=("table", "csv"), default="table")
     tweets_cmd.set_defaults(func=_cmd_top_tweets)
 
     users_cmd = commands.add_parser("top-users", help="most active or most retweeted users")
     users_cmd.add_argument("-f", "--file", required=True, dest="archive", metavar="FILE")
     users_cmd.add_argument("-k", type=int, default=10)
     users_cmd.add_argument("--by", choices=("activity", "retweets"), default="activity")
+    users_cmd.add_argument("--format", choices=("table", "csv"), default="table")
     users_cmd.set_defaults(func=_cmd_top_users)
 
     coords = commands.add_parser("coordinates", help="geotagged tweets as CSV")
@@ -281,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     inter.add_argument("--top", type=int, default=None, metavar="N")
     inter.add_argument("--communities", action="store_true")
     inter.add_argument("--gexf", metavar="PATH", default=None)
+    inter.add_argument("--format", choices=("table", "csv"), default="table")
+    inter.add_argument("--seed", type=int, default=DEFAULT_SEED)
     inter.set_defaults(func=_cmd_interactions)
 
     stats_cmd = commands.add_parser("stats", help="archive parse and corpus summary")
@@ -297,9 +293,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # for every subcommand, even where histogram's own --tz overrides it
-        if abs(args.tz) > analytics.MAX_TZ_OFFSET_MINUTES:
-            raise ValueError(f"tz offset out of range: {args.tz}")
         if args.command == "collect":
             text, outputs = _cmd_collect(args)
         else:

@@ -56,10 +56,6 @@ class InteractionEdge:
         if self.kind not in (KIND_RETWEET, KIND_REPLY):
             raise ValueError(f"unknown interaction kind: {self.kind!r}")
 
-    @property
-    def is_self_loop(self) -> bool:
-        return self.source == self.target
-
 
 # edge key: (source, target, kind); kind is None once kinds are merged
 EdgeKey = tuple[str, str, str | None]
@@ -71,9 +67,6 @@ class WeightedGraph:
 
     nodes: set[str] = field(default_factory=set)
     edges: dict[EdgeKey, int] = field(default_factory=dict)
-
-    def total_weight(self) -> int:
-        return sum(self.edges.values())
 
     def weighted_degrees(self) -> dict[str, int]:
         """In-weight plus out-weight of every node, from one pass over the edges.
@@ -102,9 +95,7 @@ class WeightedGraph:
 def extract_interactions(tweets: Iterable[Tweet]) -> list[InteractionEdge]:
     """One edge per retweet and one per reply, in input order.
 
-    A single tweet emits at most one edge of each kind. Self-loops are
-    kept; InteractionEdge.is_self_loop flags them for callers that want
-    to drop self-references before community detection.
+    A single tweet emits at most one edge of each kind; self-loops are kept.
     """
     edges = []
     for tweet in tweets:
@@ -229,13 +220,6 @@ def _sorted_edge_items(graph: WeightedGraph) -> list[tuple[EdgeKey, int]]:
     )
 
 
-def _check_names(graph: WeightedGraph, unwritable: re.Pattern, format_name: str) -> None:
-    """Raise ValueError naming up to three nodes with a character ``format_name`` cannot hold."""
-    bad = sorted(node for node in graph.nodes if unwritable.search(node))
-    if bad:
-        raise ValueError(f"node name(s) {format_name} cannot hold: {bad[:3]}")
-
-
 def export_edges_csv(graph: WeightedGraph) -> str:
     """The graph as "Source,Target,Weight[,Kind]" CSV text; Kind is omitted when merged.
 
@@ -279,7 +263,9 @@ def export_gexf(graph: WeightedGraph, communities: dict[str, int]) -> str:
     missing = graph.nodes - communities.keys()
     if missing:
         raise ValueError(f"no community for node(s): {sorted(missing)[:3]}")
-    _check_names(graph, _NOT_XML_CHAR, "XML 1.0")
+    bad = sorted(node for node in graph.nodes if _NOT_XML_CHAR.search(node))
+    if bad:
+        raise ValueError(f"node name(s) XML 1.0 cannot hold: {bad[:3]}")
     with_kind = any(key[2] is not None for key in graph.edges)
     # each node, endpoint and kind escaped once
     quoted = {

@@ -218,6 +218,21 @@ def random_corpus(
     return tweets
 
 
+def union_find_components(graph) -> dict[str, str]:
+    """Each node of ``graph`` mapped to one node of its weakly connected component."""
+    parent = {node: node for node in graph.nodes}
+
+    def find(node):
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for source, target, _kind in graph.edges:
+        parent[find(source)] = find(target)
+    return {node: find(node) for node in graph.nodes}
+
+
 # --- GEXF structure checking ------------------------------------------------
 
 

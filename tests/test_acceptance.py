@@ -26,6 +26,7 @@ from conftest import (
     korrika_archive,
     random_corpus,
     record_line,
+    union_find_components,
 )
 from eventpulse import analytics, graph
 from eventpulse.collector import (
@@ -271,20 +272,6 @@ def test_criterion_1_oracle_equivalence():
 # --- criterion 2: invariant suite, >= 1000 generated cases -------------------
 
 
-def _union_find_components(g: graph.WeightedGraph) -> dict[str, str]:
-    parent = {node: node for node in g.nodes}
-
-    def find(node):
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for source, target, _kind in g.edges:
-        parent[find(source)] = find(target)
-    return {node: find(node) for node in g.nodes}
-
-
 def test_criterion_2_invariant_suite():
     with criterion(2, "invariant suite over 1000 generated cases") as detail:
         cases = 0
@@ -349,7 +336,12 @@ def test_criterion_2_invariant_suite():
             edges = graph.extract_interactions(tweets)
             for merged in (False, True):
                 aggregated = graph.aggregate(edges, merge_kinds=merged)
-                assert aggregated.total_weight() == len(edges)
+                assert sum(aggregated.edges.values()) == len(edges)
+                assert all(weight >= 1 for weight in aggregated.edges.values())
+                assert all(
+                    source in aggregated.nodes and target in aggregated.nodes
+                    for source, target, _kind in aggregated.edges
+                )
             cases += 1
 
         # label propagation: determinism and component confinement
@@ -364,11 +356,10 @@ def test_criterion_2_invariant_suite():
             labels = graph.label_propagation(g, seed=seed)
             assert graph.label_propagation(g, seed=seed) == labels
             assert set(labels) == g.nodes
-            components = _union_find_components(g)
-            for node_a, label_a in labels.items():
-                for node_b, label_b in labels.items():
-                    if label_a == label_b:
-                        assert components[node_a] == components[node_b]
+            components = union_find_components(g)
+            component_of_label: dict[int, str] = {}
+            for node, label in labels.items():
+                assert component_of_label.setdefault(label, components[node]) == components[node]
             cases += 1
 
         assert cases >= 1000

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -27,8 +28,8 @@ def collect_child(tmp_path: Path, endpoint: str) -> tuple[list[str], dict]:
     argv = [
         sys.executable, "-c",
         "import sys; from eventpulse.cli import run; sys.exit(run(sys.argv[1:]))",
-        "--data-dir", str(tmp_path / "data"),
         "collect", "stream", "proba", "#proba", "--endpoint", endpoint,
+        "--data-dir", str(tmp_path / "data"),
     ]
     return argv, env
 
@@ -67,6 +68,28 @@ class TestExitCodes:
         assert run(["no-such-command"]) == 2
         assert run([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--format", "csv", "stats", "{archive}"],
+            ["--tz", "60", "histogram", "{archive}", "{out}"],
+            ["--seed", "1", "interactions", "{archive}", "{out}"],
+            ["--data-dir", "{dir}", "collect", "stream", "e", "#x", "--endpoint", "{archive}"],
+            ["stats", "{archive}", "--tz", "900"],
+            ["coordinates", "{archive}", "{out}", "--format", "csv"],
+            ["top-users", "-f", "{archive}", "--seed", "1"],
+            ["histogram", "{archive}", "{out}", "--data-dir", "{dir}"],
+            ["collect", "stream", "e", "#x", "--data-dir", "{dir}"],  # no --endpoint
+        ],
+    )
+    def test_option_off_the_command_that_reads_it_is_2(
+        self, small_archive, tmp_path, capsys, argv
+    ):
+        paths = {"archive": small_archive, "out": tmp_path / "out", "dir": tmp_path / "data"}
+        assert run([arg.format_map(paths) for arg in argv]) == 2
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["event.jsonl"]
+
     def test_missing_archive_is_1(self, tmp_path, capsys):
         code = run(["stats", str(tmp_path / "absent.jsonl")])
         assert code == 1
@@ -76,31 +99,52 @@ class TestExitCodes:
         assert run(["top-users", "-f", str(small_archive), "-k", "0"]) == 1
         assert "k must be" in capsys.readouterr().err
 
-    def test_bad_global_tz_is_1(self, small_archive, tmp_path, capsys):
+    def test_bad_tz_is_1(self, small_archive, tmp_path, capsys):
         out = tmp_path / "h.dat"
-        code = run(["--tz", "900", "histogram", str(small_archive), str(out)])
-        assert code == 1
-        # checked for every subcommand, also where histogram's --tz overrides it
-        for argv in (
-            ["--tz", "900", "stats", str(small_archive)],
-            ["--tz", "900", "histogram", str(small_archive), str(out), "--tz", "0"],
-        ):
-            capsys.readouterr()
-            assert run(argv) == 1
-            assert "tz offset out of range: 900" in capsys.readouterr().err
+        assert run(["histogram", str(small_archive), str(out), "--tz", "900"]) == 1
+        assert capsys.readouterr().err == "error: tz offset out of range: 900\n"
         assert not out.exists()
 
     def test_success_is_0(self, small_archive, tmp_path):
         assert run(["histogram", str(small_archive), str(tmp_path / "h.dat")]) == 0
 
-    def test_errors_come_in_order_tz_then_archive_then_command(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["top-users", "-f", "{missing}", "-k", "0"],
+            ["histogram", "{missing}", "{missing}.dat", "--tz", "900"],
+        ],
+    )
+    def test_errors_come_in_order_archive_then_command(self, tmp_path, capsys, argv):
         missing = str(tmp_path / "absent.jsonl")
-        assert run(["--tz", "900", "stats", missing]) == 1
-        assert capsys.readouterr().err == "error: tz offset out of range: 900\n"
-        assert run(["top-users", "-f", missing, "-k", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: [Errno 2] No such file or directory")
-        assert "k must be" not in err
+        assert run([arg.format(missing=missing) for arg in argv]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: [Errno 2] No such file or directory") and missing in err
+
+
+class TestOptionLayout:
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ([], set()),
+            (["collect"], {"--endpoint", "--data-dir"}),
+            (["histogram"], {"--granularity", "--tz"}),
+            (["top-tweets"], {"-f", "--file", "-k", "--count-source", "--format"}),
+            (["top-users"], {"-f", "--file", "-k", "--by", "--format"}),
+            (["coordinates"], set()),
+            (
+                ["interactions"],
+                {"--merge-kinds", "--top", "--communities", "--gexf", "--format", "--seed"},
+            ),
+            (["stats"], set()),
+        ],
+        ids=["root", "collect", "histogram", "top-tweets", "top-users", "coordinates",
+             "interactions", "stats"],
+    )
+    def test_help_lists_only_the_options_the_command_reads(self, capsys, command, options):
+        assert run([*command, "--help"]) == 0
+        shown = set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", capsys.readouterr().out))
+        assert shown == {"-h", "--help"} | options
 
 
 class TestHistogramCommand:
@@ -117,15 +161,10 @@ class TestHistogramCommand:
         run(["histogram", str(small_archive), str(out), "--granularity", "day"])
         assert out.read_bytes() == b"2015-03-19T00:00:00\t4\n"
 
-    def test_global_tz_applies(self, small_archive, tmp_path):
+    def test_tz_shifts_the_buckets(self, small_archive, tmp_path):
         out = tmp_path / "hist.dat"
-        run(["--tz", "60", "histogram", str(small_archive), str(out)])
+        assert run(["histogram", str(small_archive), str(out), "--tz", "60"]) == 0
         assert out.read_bytes().startswith(b"2015-03-19T11:00:00\t2\n")
-
-    def test_subcommand_tz_overrides_global(self, small_archive, tmp_path):
-        out = tmp_path / "hist.dat"
-        run(["--tz", "60", "histogram", str(small_archive), str(out), "--tz", "0"])
-        assert out.read_bytes().startswith(b"2015-03-19T10:00:00\t2\n")
 
     def test_edges_of_the_datetime_range(self, tmp_path, capsys):
         last = write_archive(tmp_path / "l.jsonl", [record_line(created_at="9999-12-31T23:30:00Z")])
@@ -138,7 +177,7 @@ class TestHistogramCommand:
         first = write_archive(
             tmp_path / "f.jsonl", [record_line(id=7, created_at="0001-01-01T00:30:00Z")]
         )
-        assert run(["--tz", "-60", "histogram", str(first), str(out)]) == 1
+        assert run(["histogram", str(first), str(out), "--tz", "-60"]) == 1
         assert capsys.readouterr() == (
             "",
             "error: tweet 7: 0001-01-01T00:30:00+00:00 shifted by -60 minutes"
@@ -156,28 +195,14 @@ class TestRankingCommands:
         assert lines[1].split() == ["1", "@ane", "2"]
 
     def test_top_users_csv_format(self, small_archive, capsys):
-        code = run(
-            ["--format", "csv", "top-users", "-f", str(small_archive), "-k", "2"]
-        )
-        assert code == 0
+        assert run(["top-users", "-f", str(small_archive), "-k", "2", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "key,score"
         assert lines[1] == "ane,2"
 
     def test_top_users_by_retweets(self, small_archive, capsys):
-        run(
-            [
-                "--format",
-                "csv",
-                "top-users",
-                "-f",
-                str(small_archive),
-                "-k",
-                "1",
-                "--by",
-                "retweets",
-            ]
-        )
+        argv = ["top-users", "-f", str(small_archive), "-k", "1", "--by", "retweets"]
+        assert run([*argv, "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "ane,1"
 
     def test_csv_stdout_round_trips_through_a_csv_reader(self, tmp_path, capsys):
@@ -190,12 +215,12 @@ class TestRankingCommands:
                 record_line(id=3, screen_name="c", created_at=ts(10, 2), text="hiru"),
             ],
         )
-        assert run(["--format", "csv", "top-users", "-f", str(archive)]) == 0
+        assert run(["top-users", "-f", str(archive), "--format", "csv"]) == 0
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows == [["key", "score"], [odd, "2"], ["c", "1"]]
 
         edges = tmp_path / "edges.csv"
-        argv = ["--format", "csv", "interactions", str(archive), str(edges), "--communities"]
+        argv = ["interactions", str(archive), str(edges), "--communities", "--format", "csv"]
         assert run(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         rows = list(csv.reader(lines[lines.index("node,community") + 1 :]))
@@ -227,7 +252,7 @@ class TestRankingCommands:
             argv = [argv[0], str(archive), str(tmp_path / "edges.csv"), *argv[1:]]
         else:
             argv = [argv[0], "-f", str(archive), *argv[1:]]
-        assert run(["--format", "csv", *argv]) == 0
+        assert run([*argv, "--format", "csv"]) == 0
         csv_rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert run(argv) == 0
         table = capsys.readouterr().out.splitlines()
@@ -245,18 +270,8 @@ class TestRankingCommands:
         assert row.split()[:4] == ["1", "1", "@ane", "1"]
 
     def test_top_tweets_embedded_source(self, small_archive, capsys):
-        code = run(
-            [
-                "--format",
-                "csv",
-                "top-tweets",
-                "-f",
-                str(small_archive),
-                "--count-source",
-                "embedded",
-            ]
-        )
-        assert code == 0
+        argv = ["top-tweets", "-f", str(small_archive), "--count-source", "embedded"]
+        assert run([*argv, "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "key,score"
 
 
@@ -316,17 +331,8 @@ class TestInteractionsCommand:
 
     def test_communities_csv_output(self, small_archive, tmp_path, capsys):
         out = tmp_path / "edges.csv"
-        code = run(
-            [
-                "--format",
-                "csv",
-                "interactions",
-                str(small_archive),
-                str(out),
-                "--communities",
-            ]
-        )
-        assert code == 0
+        argv = ["interactions", str(small_archive), str(out), "--communities", "--format", "csv"]
+        assert run(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         start = lines.index("node,community")
         rows = dict(line.split(",") for line in lines[start + 1 :])
@@ -396,9 +402,9 @@ class TestUnencodableNames:
         "argv",
         [
             ["top-users"],
-            ["--format", "csv", "top-users"],
+            ["top-users", "--format", "csv"],
             ["top-users", "--by", "retweets"],
-            ["--format", "csv", "top-users", "--by", "retweets"],
+            ["top-users", "--by", "retweets", "--format", "csv"],
             ["top-tweets"],  # its csv holds tweet ids, not names
         ],
     )
@@ -500,19 +506,8 @@ class TestCollectCommand:
     def test_stream_from_file_endpoint(self, tmp_path, capsys):
         src = write_archive(tmp_path / "src.jsonl", self.source_lines())
         data_dir = tmp_path / "data"
-        code = run(
-            [
-                "--data-dir",
-                str(data_dir),
-                "collect",
-                "stream",
-                "proba",
-                "#proba",
-                "--endpoint",
-                str(src),
-            ]
-        )
-        assert code == 0
+        argv = ["collect", "stream", "proba", "#proba", "--endpoint", str(src)]
+        assert run([*argv, "--data-dir", str(data_dir)]) == 0
         out = capsys.readouterr().out
         assert "received 20, matched 10, written 10, reconnects 0" in out
         archives = list((data_dir / "proba").glob("*.jsonl"))
@@ -522,19 +517,8 @@ class TestCollectCommand:
     def test_search_from_file_endpoint(self, tmp_path, capsys):
         src = write_archive(tmp_path / "src.jsonl", self.source_lines())
         data_dir = tmp_path / "data"
-        code = run(
-            [
-                "--data-dir",
-                str(data_dir),
-                "collect",
-                "search-recent",
-                "proba",
-                "#proba",
-                "--endpoint",
-                f"file://{src}",
-            ]
-        )
-        assert code == 0
+        argv = ["collect", "search-recent", "proba", "#proba", "--endpoint", f"file://{src}"]
+        assert run([*argv, "--data-dir", str(data_dir)]) == 0
         assert "written 10" in capsys.readouterr().out
 
     def test_search_over_tcp_endpoint(self, tmp_path, capsys):
@@ -542,29 +526,19 @@ class TestCollectCommand:
         data_dir = tmp_path / "data"
         with server as (host, port):
             code = run(
-                [
-                    "--data-dir",
-                    str(data_dir),
-                    "collect",
-                    "search-popular",
-                    "proba",
-                    "#proba",
-                    "--endpoint",
-                    f"tcp://{host}:{port}",
-                ]
+                ["collect", "search-popular", "proba", "#proba",
+                 "--endpoint", f"tcp://{host}:{port}", "--data-dir", str(data_dir)]
             )
         assert code == 0
         assert "written 10" in capsys.readouterr().out
         assert any("kind=popular" in request for request in server.requests)
 
-    def test_missing_endpoint_is_operational_error(self, tmp_path, capsys):
-        code = run(
-            ["--data-dir", str(tmp_path), "collect", "stream", "proba", "#proba"]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: no endpoint; pass --endpoint tcp://HOST:PORT or --endpoint FILE\n"
-        )
+    def test_missing_endpoint_is_a_usage_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run(["collect", "stream", "proba", "#proba", "--data-dir", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: --endpoint\n")
+        assert not data_dir.exists()
 
     @pytest.mark.parametrize("port", ["0", "65536", "70000", "-1", "abc", ""])
     def test_bad_endpoint_port_fails_before_connecting(self, tmp_path, port):
@@ -603,8 +577,8 @@ class TestCollectCommand:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("EVENTPULSE_CONFIG", str(broken))
         src = write_archive(tmp_path / "src.jsonl", [record_line(id=1, text="#proba")])
-        argv = ["--data-dir", str(tmp_path / "data"),
-                "collect", "stream", "proba", "#proba", "--endpoint", str(src)]
+        argv = ["collect", "stream", "proba", "#proba", "--endpoint", str(src),
+                "--data-dir", str(tmp_path / "data")]
         assert run(argv) == 0
         out, err = capsys.readouterr()
         assert out == "received 1, matched 1, written 1, reconnects 0\n"
@@ -642,8 +616,8 @@ class TestCollectCommand:
     @pytest.mark.parametrize("endpoint", ["tcp://::1:9", "tcp://[::1:9", "tcp://::1]:9"])
     def test_unbracketed_ipv6_host_is_rejected(self, tmp_path, capsys, endpoint):
         code = run(
-            ["--data-dir", str(tmp_path / "data"), "collect", "stream", "proba", "#proba",
-             "--endpoint", endpoint]
+            ["collect", "stream", "proba", "#proba", "--endpoint", endpoint,
+             "--data-dir", str(tmp_path / "data")]
         )
         assert code == 1
         [message] = capsys.readouterr().err.splitlines()
@@ -651,10 +625,8 @@ class TestCollectCommand:
         assert not (tmp_path / "data").exists()
 
     def test_bad_event_name_is_1(self, tmp_path, capsys):
-        code = run(
-            ["--data-dir", str(tmp_path), "collect", "stream", "bad name", "#x"]
-        )
-        assert code == 1
+        argv = ["collect", "stream", "bad name", "#x", "--endpoint", str(tmp_path / "absent")]
+        assert run([*argv, "--data-dir", str(tmp_path)]) == 1
         assert "event name" in capsys.readouterr().err
 
 
@@ -707,8 +679,8 @@ class TestReadSeam:
             assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
 
     def test_collect_reads_no_archive(self, small_archive, tmp_path, reads):
-        argv = ["--data-dir", str(tmp_path / "data"), "collect", "stream", "proba",
-                "#gora", "--endpoint", str(small_archive)]
+        argv = ["collect", "stream", "proba", "#gora", "--endpoint", str(small_archive),
+                "--data-dir", str(tmp_path / "data")]
         assert run(argv) == 0
         assert reads == []
 
@@ -724,17 +696,8 @@ class TestDeterminism:
         for target in (first, second):
             run(["histogram", str(small_archive), str(target / "h.dat")])
             run(["coordinates", str(small_archive), str(target / "c.csv")])
-            run(
-                [
-                    "--seed",
-                    "42",
-                    "interactions",
-                    str(small_archive),
-                    str(target / "e.csv"),
-                    "--gexf",
-                    str(target / "g.gexf"),
-                ]
-            )
+            run(["interactions", str(small_archive), str(target / "e.csv"),
+                 "--gexf", str(target / "g.gexf"), "--seed", "42"])
         for name in ("h.dat", "c.csv", "e.csv", "g.gexf"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 

@@ -64,6 +64,8 @@ MIXED_LINES = [
     matching_line(1),  # written
     matching_line(1),  # duplicate
     other_line(2),  # unmatched
+    "",  # keep-alive: not received
+    "  ",  # keep-alive: not received
     record_line(id=3, text="ezer", created_at="nope"),  # unmatched: never validated
     record_line(id=4, text="#peaktime", created_at="nope"),  # malformed
     "{broken",  # malformed: not JSON
@@ -226,44 +228,26 @@ class TestCollectStream:
         expected = b"".join(line.encode() + b"\n" for line in matching)
         assert archive_bytes(tmp_path) == expected
 
-    def test_out_of_range_stamp_does_not_stop_the_run(self, tmp_path):
-        # converting this stamp to UTC lands before year 1
-        bad = record_line(
-            id=1, text="#peaktime", created_at="Mon Jan 01 00:00:00 +0100 0001"
-        )
+    @pytest.mark.parametrize(
+        "line, kept",
+        [
+            *((line, False) for line in HOSTILE_LINES.values()),
+            # converting this stamp to UTC lands before year 1
+            (record_line(id=1, text="#peaktime", created_at="Mon Jan 01 00:00:00 +0100 0001"),
+             False),
+            (record_line(id=1, text="#peaktime", screen_name=" @ane"), True),
+            (record_line(id=1, text="#peaktime", geo=(10**400, -2.67)), True),
+        ],
+        ids=[*HOSTILE_LINES, "out-of-range stamp", "padded name", "huge coordinate"],
+    )
+    def test_odd_line_does_not_stop_the_run(self, tmp_path, line, kept):
         good = matching_line(2)
         stats = collect_stream(
-            stream_job(tmp_path), ReplaySource([bad, good]), clock=ManualClock()
+            stream_job(tmp_path), ReplaySource([line, good]), clock=ManualClock()
         )
-        assert (stats.received, stats.matched, stats.written) == (2, 1, 1)
-        assert archive_bytes(tmp_path) == good.encode() + b"\n"
-
-    @pytest.mark.parametrize("hostile", HOSTILE_LINES.values(), ids=HOSTILE_LINES)
-    def test_hostile_line_does_not_stop_the_run(self, tmp_path, hostile):
-        good = matching_line(2)
-        stats = collect_stream(
-            stream_job(tmp_path), ReplaySource([hostile, good]), clock=ManualClock()
-        )
-        assert (stats.received, stats.malformed, stats.written) == (2, 1, 1)
-        assert archive_bytes(tmp_path) == good.encode() + b"\n"
-
-    def test_blank_padded_at_name_does_not_stop_the_run(self, tmp_path):
-        padded = record_line(id=1, text="#peaktime", screen_name=" @ane")
-        good = matching_line(2)
-        stats = collect_stream(
-            stream_job(tmp_path), ReplaySource([padded, good]), clock=ManualClock()
-        )
-        assert (stats.received, stats.malformed, stats.written) == (2, 0, 2)
-        assert archive_bytes(tmp_path) == f"{padded}\n{good}\n".encode()
-
-    def test_coordinate_past_the_float_range_does_not_stop_the_run(self, tmp_path):
-        huge = record_line(id=1, text="#peaktime", geo=(10**400, -2.67))
-        good = matching_line(2)
-        stats = collect_stream(
-            stream_job(tmp_path), ReplaySource([huge, good]), clock=ManualClock()
-        )
-        assert (stats.received, stats.malformed, stats.written) == (2, 0, 2)
-        assert archive_bytes(tmp_path) == f"{huge}\n{good}\n".encode()
+        assert (stats.received, stats.malformed, stats.written) == (2, 1 - kept, 1 + kept)
+        expected = [line, good] if kept else [good]
+        assert archive_bytes(tmp_path) == "".join(f"{row}\n" for row in expected).encode()
 
     def test_every_line_lands_in_one_counter(self, tmp_path):
         stats = collect_stream(
@@ -329,31 +313,6 @@ class TestCollectStream:
         job = CollectionJob("stream", "proba", ("a",), blocker)
         with pytest.raises(OSError):
             collect_stream(job, ReplaySource([]), clock=ManualClock())
-
-    def test_duplicate_ids_written_once(self, tmp_path):
-        lines = [matching_line(1), matching_line(2), matching_line(1)]
-        stats = collect_stream(
-            stream_job(tmp_path), ReplaySource(lines), clock=ManualClock()
-        )
-        assert stats.matched == 3
-        assert stats.written == 2
-
-    def test_malformed_lines_are_received_not_written(self, tmp_path):
-        lines = [matching_line(1), "{broken", matching_line(2)]
-        stats = collect_stream(
-            stream_job(tmp_path), ReplaySource(lines), clock=ManualClock()
-        )
-        assert stats.received == 3
-        assert stats.matched == 2
-        assert stats.written == 2
-
-    def test_blank_keepalive_lines_are_ignored(self, tmp_path):
-        lines = [matching_line(1), "", "  ", matching_line(2)]
-        stats = collect_stream(
-            stream_job(tmp_path), ReplaySource(lines), clock=ManualClock()
-        )
-        assert stats.received == 2
-        assert stats.written == 2
 
     def test_wrong_mode_rejected(self, tmp_path):
         job = CollectionJob("search-recent", "proba", ("a",), tmp_path)
@@ -484,25 +443,11 @@ class TestCollectSearch:
         assert stats.written == 5
 
     def test_every_line_lands_in_one_counter(self, tmp_path):
-        pages = [MIXED_LINES[:3], MIXED_LINES[3:]]
+        pages = [MIXED_LINES[:1], MIXED_LINES[1:]]  # the duplicate crosses a page
         stats = collect_search(
             search_job(tmp_path), ScriptedSearchSource(pages), clock=ManualClock()
         )
         assert {name: getattr(stats, name) for name in MIXED_COUNTS} == MIXED_COUNTS
-
-    def test_dedupe_across_pages(self, tmp_path):
-        pages = [[matching_line(1), matching_line(2)], [matching_line(2)]]
-        stats = collect_search(
-            search_job(tmp_path), ScriptedSearchSource(pages), clock=ManualClock()
-        )
-        assert stats.written == 2
-
-    def test_blank_lines_are_ignored(self, tmp_path):
-        pages = [["", matching_line(1)], ["  ", matching_line(2)]]
-        stats = collect_search(
-            search_job(tmp_path), ScriptedSearchSource(pages), clock=ManualClock()
-        )
-        assert (stats.received, stats.malformed, stats.written) == (2, 0, 2)
 
     def test_stop_breaks_between_pages(self, tmp_path):
         stop = threading.Event()
@@ -574,21 +519,9 @@ class TestTcpTransport:
             stats = collect_search(search_job(tmp_path), source, clock=clock)
         assert stats.written == 100
         assert stats.rate_limit_waits == 1
-        assert clock.waits == [2.0]
+        assert clock.waits == [2.0]  # the source passes on the seconds; the run's clock waits
         assert any("kind=recent" in request for request in server.requests)
         assert any("page=2" in request for request in server.requests)
-
-    def test_rate_limit_waits_on_the_run_clock(self, tmp_path):
-        # the source only passes on the seconds; the run's clock alone
-        # decides how long that is
-        lines = [matching_line(i) for i in range(1, 5)]
-        server = MockStreamServer(
-            lines, page_size=2, rate_limit_pages=[1], rate_limit_retry_after=2.0
-        )
-        clock = ManualClock()
-        with server as (host, port):
-            collect_search(search_job(tmp_path), TcpSearchSource(host, port), clock=clock)
-        assert clock.waits == [2.0]
 
     def test_stop_during_rate_limit_wait_sends_no_request(self, tmp_path):
         class StoppingClock(ManualClock):

@@ -12,17 +12,15 @@ import xml.etree.ElementTree as ET
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, random_corpus, record_line, write_archive
+from conftest import make_record, random_corpus, record_line, union_find_components, write_archive
 from eventpulse.analytics import (
     activity_counts,
     extract_coordinates,
     histogram,
     received_retweet_counts,
-    top_tweets_by_retweets,
     top_users_by_activity,
     top_users_by_received_retweets,
 )
@@ -44,12 +42,10 @@ from eventpulse.graph import (
     _NOT_XML_CHAR,
     InteractionEdge,
     WeightedGraph,
-    _check_names,
     _sorted_edge_items,
     aggregate,
     export_edges_csv,
     export_gexf,
-    extract_interactions,
     label_propagation,
     notable_subgraph,
 )
@@ -79,17 +75,6 @@ nonempty_corpora = st.builds(
 
 
 # --- histogram ---------------------------------------------------------------
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    tweets=corpora,
-    granularity=st.sampled_from(["hour", "day"]),
-    tz=st.integers(-840, 840),
-)
-def test_histogram_conserves_every_tweet(tweets, granularity, tz):
-    buckets = histogram(tweets, granularity, tz)
-    assert sum(b.count for b in buckets) == len(tweets)
 
 
 @settings(max_examples=50, deadline=None)
@@ -127,27 +112,6 @@ def test_histogram_ignores_input_order(tweets, seed):
 
 
 # --- rankings ----------------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(tweets=nonempty_corpora, seed=st.integers(0, 999), k=st.integers(1, 20))
-def test_rankings_ignore_input_order(tweets, seed, k):
-    shuffled = tweets[:]
-    random.Random(seed).shuffle(shuffled)
-    assert top_users_by_activity(shuffled, k) == top_users_by_activity(tweets, k)
-    assert top_users_by_received_retweets(
-        shuffled, k
-    ) == top_users_by_received_retweets(tweets, k)
-    assert top_tweets_by_retweets(shuffled, k) == top_tweets_by_retweets(tweets, k)
-
-
-@settings(max_examples=40, deadline=None)
-@given(tweets=nonempty_corpora, k=st.integers(1, 20))
-def test_top_k_is_a_prefix_of_top_k_plus_1(tweets, k):
-    assert top_users_by_activity(tweets, k + 1)[:k] == top_users_by_activity(tweets, k)
-    assert top_tweets_by_retweets(tweets, k + 1)[:k] == top_tweets_by_retweets(
-        tweets, k
-    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,52 +310,18 @@ def hostile_records(draw):
 
 
 # parse_tweet as it was before the builder's per-line cost was cut: the
-# decode, timestamp and record rules verbatim, names prefixed "kept", with
-# only Tweet shared. Kept as the reference; it must agree exactly.
+# decode and record rules verbatim, names prefixed "kept", with only Tweet
+# shared, and the timestamp rule as the plain strptime -> fromisoformat
+# chain. Kept as the reference; it must agree exactly.
 KEPT_CLASSIC_FORMAT = "%a %b %d %H:%M:%S %z %Y"
-KEPT_MONTHS = {
-    name: number
-    for number, name in enumerate(
-        "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), start=1
-    )
-}
-# The exact 30-character spelling of KEPT_CLASSIC_FORMAT: names in the
-# platform's case, zero-padded ASCII fields, offset minutes 00-59.
-KEPT_CLASSIC_LAYOUT = re.compile(
-    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (" + "|".join(KEPT_MONTHS) + ") "
-    r"(\d\d) (\d\d):(\d\d):(\d\d) ([+-])(\d\d)([0-5]\d) (\d{4})",
-    re.ASCII,
-)
 KEPT_HASHTAG = re.compile(r"#(\w+)")
-
-
-def kept_classic_stamp(value: str) -> datetime | None:
-    match = KEPT_CLASSIC_LAYOUT.fullmatch(value)
-    if match is None:
-        return None
-    month, day, hour, minute, second, sign, off_hours, off_minutes, year = (
-        match.groups()
-    )
-    offset = int(off_hours) * 60 + int(off_minutes)
-    try:
-        tz = (
-            timezone.utc
-            if offset == 0
-            else timezone(timedelta(minutes=-offset if sign == "-" else offset))
-        )
-        return datetime(
-            int(year), KEPT_MONTHS[month], int(day),
-            int(hour), int(minute), int(second), tzinfo=tz,
-        )
-    except ValueError:  # Feb 30, second 60, offset of 24 h or more, year 0
-        return None
 
 
 def kept_parse_timestamp(value: object) -> datetime:
     if not isinstance(value, str) or not value.strip():
         raise ParseError("created_at", f"expected a timestamp string, got {value!r}")
     try:
-        stamp = kept_classic_stamp(value) or datetime.strptime(value, KEPT_CLASSIC_FORMAT)
+        stamp = datetime.strptime(value, KEPT_CLASSIC_FORMAT)
     except ValueError:
         iso = value[:-1] + "+00:00" if value.endswith("Z") else value
         try:
@@ -536,7 +466,7 @@ def kept_parse_tweet(line):
 
 
 def exact(parse, line):
-    """The Tweet and its repr (so 1 and 1.0 differ), or a ParseError's field and message."""
+    """The result and its repr (so 1 and 1.0 differ), or a ParseError's field and message."""
     try:
         tweet = parse(line)
     except ParseError as exc:
@@ -650,24 +580,6 @@ MONTHS = (
 )
 
 
-def reference_parse_timestamp(value: str) -> datetime | None:
-    """The strptime -> fromisoformat chain alone; None where it must fail."""
-    try:
-        stamp = datetime.strptime(value, "%a %b %d %H:%M:%S %z %Y")
-    except ValueError:
-        iso = value[:-1] + "+00:00" if value.endswith("Z") else value
-        try:
-            stamp = datetime.fromisoformat(iso)
-        except ValueError:
-            return None
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    try:
-        return stamp.astimezone(timezone.utc).replace(microsecond=0)
-    except OverflowError:  # the UTC instant is outside years 1-9999
-        return None
-
-
 @st.composite
 def classic_fields(draw):
     """Fields of a classic stamp; the weekday is drawn apart from the date."""
@@ -746,14 +658,7 @@ def near_miss_stamps(draw):
 @example("Mon Jan 01 00:30:00 +0100 0001")  # UTC falls before year 1
 @example("Fri Dec 31 23:30:00 -0100 9999")  # UTC falls after year 9999
 def test_timestamp_fast_path_matches_strptime_chain(stamp):
-    expected = reference_parse_timestamp(stamp)
-    if expected is None:
-        with pytest.raises(ParseError):
-            _parse_timestamp(stamp)
-        return
-    parsed = _parse_timestamp(stamp)
-    assert parsed == expected
-    assert parsed.tzinfo is timezone.utc and parsed.microsecond == 0
+    assert exact(_parse_timestamp, stamp) == exact(kept_parse_timestamp, stamp)
 
 
 # --- track matching -----------------------------------------------------------
@@ -795,26 +700,6 @@ def test_coordinate_rows_cover_exactly_the_geotagged(tweets):
 
 
 # --- graphs --------------------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(tweets=corpora)
-def test_edge_extraction_count_identity(tweets):
-    edges = extract_interactions(tweets)
-    retweets = sum(1 for t in tweets if t.retweet_of is not None)
-    replies = sum(1 for t in tweets if t.reply_to is not None)
-    assert len(edges) == retweets + replies
-
-
-@settings(max_examples=40, deadline=None)
-@given(tweets=corpora, merge=st.booleans())
-def test_aggregate_weight_identity(tweets, merge):
-    edges = extract_interactions(tweets)
-    graph = aggregate(edges, merge_kinds=merge)
-    assert graph.total_weight() == len(edges)
-    for key, weight in graph.edges.items():
-        assert weight >= 1
-        assert key[0] in graph.nodes and key[1] in graph.nodes
 
 
 short_names = st.text(alphabet="abcde", min_size=1, max_size=3)
@@ -875,7 +760,6 @@ def kept_export_gexf(
     missing = graph.nodes - communities.keys()
     if missing:
         raise ValueError(f"no community for node(s): {sorted(missing)[:3]}")
-    _check_names(graph, _NOT_XML_CHAR, "XML 1.0")
     with_kind = any(key[2] is not None for key in graph.edges)
 
     ET.register_namespace("", GEXF_NAMESPACE)
@@ -1044,22 +928,10 @@ def test_label_propagation_is_deterministic_and_total(graph, seed):
 @given(graph=random_graphs, seed=st.integers(0, 999))
 def test_communities_never_span_components(graph, seed):
     communities = label_propagation(graph, seed=seed)
-
-    parent = {node: node for node in graph.nodes}
-
-    def find(node):
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for source, target, _kind in graph.edges:
-        parent[find(source)] = find(target)
-
+    components = union_find_components(graph)
     component_of_label: dict[int, str] = {}
     for node, label in communities.items():
-        root = find(node)
-        assert component_of_label.setdefault(label, root) == root
+        assert component_of_label.setdefault(label, components[node]) == components[node]
 
 
 # --- collection ----------------------------------------------------------------
