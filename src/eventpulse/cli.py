@@ -4,13 +4,14 @@ Exit codes: 0 on success, 1 on operational failures (missing files, bad
 archives, bad endpoints, a ``--tz`` past +-840, an unusable output;
 message on stderr), 2 on usage errors, such as an option put before its
 subcommand or a missing ``--endpoint``. One read, one render, one
-commit: ``run`` reads the archive once; an analysis command writes
-nothing and returns its stdout text and the text of each output file;
-``run`` encodes all of them before it opens a file, then writes the
-files in order and stdout last. So a file text UTF-8 cannot carry, or a
-stdout text the stream cannot encode, fails the command with only its
-``error:`` line and leaves every file as it was. With a fixed seed every
-subcommand writes byte-identical output files across reruns.
+commit: ``run`` reads the archive once (that read may write an entry
+to the parse cache; see ``eventpulse.tweets``); an analysis command
+writes nothing and returns its stdout text and the text of each output
+file; ``run`` encodes all of them before it opens a file, then writes
+the files in order and stdout last. So a file text UTF-8 cannot carry,
+or a stdout text the stream cannot encode, fails the command with only
+its ``error:`` line and leaves every file as it was. With a fixed seed
+every subcommand writes byte-identical output files across reruns.
 """
 
 from __future__ import annotations
@@ -286,9 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _misplaced_option(argv: Sequence[str]) -> str | None:
+    """The option put before the subcommand, if any; the root parser reads only -h/--help."""
+    first = argv[0] if argv else ""
+    # "--help".startswith also passes "-", "--" and the abbreviations argparse takes
+    if not first.startswith("-") or first == "-h" or "--help".startswith(first):
+        return None
+    return first.partition("=")[0]
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        # argparse would skip the unknown option and report its value as
+        # an invalid subcommand
+        if option := _misplaced_option(argv):
+            parser.error(f"option {option} goes after the subcommand: eventpulse COMMAND [options]")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -9,18 +9,36 @@ fields read here are ``id``, ``created_at``, ``user.screen_name``,
 
 Parsing never rewrites archive lines: the collector stores raw bytes
 and this module only builds an in-memory view of them.
+
+``read_archive`` parses the bytes of a regular file once. It may write
+a cache entry under ``$XDG_CACHE_HOME/eventpulse/`` (default
+``~/.cache/eventpulse/``), named by the sha256 of the archive bytes,
+this file's bytes and ``sys.version``. A later read of the same bytes
+rebuilds the same Tweets and ParseStats from that entry without
+decoding a record. The 16 most recently used entries are kept, and an
+entry that cannot be read or written is parsed around.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import io
 import json
+import os
 import re
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import stat
+import sys
+import tempfile
+import time
+from collections import deque
+from contextlib import suppress
+from dataclasses import dataclass, fields
+from datetime import datetime, timedelta, timezone
+from itertools import chain, repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple
 
 __all__ = [
     "MAX_ID",
@@ -447,29 +465,239 @@ def read_archive(
 
     Tweets come back in file order. With ``dedupe`` the second and
     later occurrences of an id are dropped and counted.
+
+    The bytes of a regular file are parsed once: the read that parses
+    them writes a cache entry of every valid record (see the module
+    docstring), and a later read of the same bytes, with either
+    ``dedupe``, rebuilds the same result from that entry.
     """
-    tweets: list[Tweet] = []
-    total_lines = malformed = duplicates = 0
-    seen: set[int] = set()
     with open(path, "rb") as handle:
+        entry = _entry_path(handle)
+        if entry is not None and (cached := _load_entry(entry, dedupe)) is not None:
+            return cached
+        # the entry is named by the bytes parsed here, so a file that
+        # changed after it was hashed above cannot pass for its old bytes
+        digest = _keyed_digest() if entry is not None else None
+        valid: list[Tweet] = []
+        total_lines = malformed = 0
         for raw in handle:
             total_lines += 1
+            if digest is not None:
+                digest.update(raw)
             try:
                 record = _decode_record(raw.rstrip(b"\r\n"))
                 text, hashtags = _text_and_hashtags(record)
-                tweet = _build_tweet(record, text, hashtags)
+                valid.append(_build_tweet(record, text, hashtags))
             except ParseError:
                 malformed += 1
-                continue
-            if dedupe:
-                if tweet.id in seen:
-                    duplicates += 1
-                    continue
-                seen.add(tweet.id)
-            tweets.append(tweet)
-    return tweets, ParseStats(
-        total_lines=total_lines,
-        parsed=len(tweets),
-        skipped_malformed=malformed,
-        duplicates_dropped=duplicates,
+    if digest is not None:
+        _store_entry(entry.with_name(f"{digest.hexdigest()}.jsonl"), total_lines, malformed, valid)
+    tweets, duplicates = _kept(valid, dedupe)
+    return tweets, ParseStats(total_lines, len(tweets), malformed, duplicates)
+
+
+def _kept(tweets: Iterable[Tweet], dedupe: bool) -> tuple[list[Tweet], int]:
+    """The valid tweets read_archive returns, in order, and how many duplicates it drops."""
+    if not dedupe:
+        return list(tweets), 0
+    kept: list[Tweet] = []
+    seen: set[int] = set()
+    duplicates = 0
+    for tweet in tweets:
+        if tweet.id in seen:
+            duplicates += 1
+        else:
+            seen.add(tweet.id)
+            kept.append(tweet)
+    return kept, duplicates
+
+
+# --- parse cache ---------------------------------------------------------------
+#
+# An entry is ``<sha256>.jsonl``: a header line ``[total_lines,malformed]``,
+# then one row per valid record in file order, duplicates included:
+# ``[id,utc_seconds,author,text,[hashtag,...],retweet_of,reply_to,coords,
+# retweet_count]``, where retweet_of is ``[original_id,original_author]``,
+# coords ``[latitude,longitude]`` and each of the last four may be null.
+# Rows are compact ASCII-only JSON, so a lone surrogate is kept as its
+# escape. Entries are trusted like the user's own files: a row is checked
+# for shape, not held to the reader's rules again.
+
+_CACHE_ENTRIES = 16
+_STALE_TEMP_S = 3600  # a temp file this old was left by a writer that died
+_HASH_CHUNK = 1 << 20
+_WRITE_BATCH_ROWS = 1024
+_LOAD_BATCH_BYTES = 1 << 16  # the lines of about 400 rows go to one json.loads
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+_NULL = type(None)
+# a str as a JSON string with every non-ASCII character escaped, as
+# json.dumps gives it; the C function, not JSONEncoder.encode around it
+_quote = json.encoder.encode_basestring_ascii
+# each field's slot setter, in field order: it fills a Tweet without the
+# frozen __setattr__, as object.__setattr__ does in _build_tweet
+_FIELD_SETTERS = tuple(getattr(Tweet, field.name).__set__ for field in fields(Tweet))
+
+
+@functools.cache
+def _code_key() -> bytes:
+    """What every entry key covers besides the archive: this module's bytes and the Python."""
+    return Path(__file__).read_bytes() + sys.version.encode()
+
+
+def _keyed_digest():
+    """A sha256 that has taken in ``_code_key()``, ready for the archive bytes."""
+    return hashlib.sha256(_code_key())
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/eventpulse``, or ``~/.cache/eventpulse`` if that is unset or relative.
+
+    An empty value is unset; a relative one is ignored, as the XDG base
+    directory specification asks.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "eventpulse"
+
+
+def _entry_path(handle: BinaryIO) -> Path | None:
+    """The cache entry for the bytes of ``handle``, or None if they are not cached.
+
+    Only a regular file is cached, and only when a cache directory can be
+    named. ``handle`` is read to its end and rewound.
+    """
+    try:
+        if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            return None
+        directory = _cache_dir()
+        digest = _keyed_digest()
+    except (OSError, RuntimeError, KeyError):  # Path.home() with no HOME and no user entry
+        return None
+    while chunk := handle.read(_HASH_CHUNK):
+        digest.update(chunk)
+    handle.seek(0)
+    return directory / f"{digest.hexdigest()}.jsonl"
+
+
+def _load_entry(entry: Path, dedupe: bool) -> tuple[list[Tweet], ParseStats] | None:
+    """read_archive's result rebuilt from ``entry``; None if there is no whole entry to read."""
+    try:
+        with open(entry, "rb") as handle:
+            total_lines, malformed = json.loads(handle.readline())
+            _check_columns(((total_lines, malformed), int))
+            tweets, duplicates = _kept(_entry_tweets(handle), dedupe)
+    except (OSError, ValueError, TypeError, OverflowError, RecursionError):
+        return None  # absent, torn or of the wrong shape
+    if len(tweets) + duplicates != total_lines - malformed:
+        return None
+    with suppress(OSError):
+        os.utime(entry)  # the mtime orders entries by last use
+    return tweets, ParseStats(total_lines, len(tweets), malformed, duplicates)
+
+
+def _entry_tweets(handle: BinaryIO):
+    """The Tweet of each row left in ``handle``, a batch of lines to one ``json.loads``."""
+    while lines := handle.readlines(_LOAD_BATCH_BYTES):
+        yield from _rows_tweets(json.loads(b"[" + b",".join(lines) + b"]"))
+
+
+def _rows_tweets(rows: list) -> list[Tweet]:
+    """The Tweets of a batch of entry rows, as ``_row`` wrote them.
+
+    The work goes a field at a time over the whole batch, in C loops
+    (``map``, ``zip``, ``set``), not a row at a time: this is the warm
+    read's cost. Raises ValueError or TypeError if a row has the wrong
+    shape: not nine fields, or a field not of the JSON type ``_row``
+    writes. Like ``_build_tweet``, it makes each Tweet without
+    ``__post_init__``.
+    """
+    ids, seconds, authors, texts, hashtags, retweets, replies, points, counts = zip(
+        *rows, strict=True
     )
+    _check_columns(
+        (ids, int), (seconds, int), (authors, str), (texts, str), (hashtags, list),
+        (retweets, list, _NULL), (replies, str, _NULL), (points, list, _NULL), (counts, int, _NULL),
+    )
+    references = [pair for pair in retweets if pair is not None]
+    original_ids, original_authors = zip(*references, strict=True) if references else ((), ())
+    coords = [pair for pair in points if pair is not None]
+    latitudes, longitudes = zip(*coords, strict=True) if coords else ((), ())
+    _check_columns(
+        (chain.from_iterable(hashtags), str), (original_ids, int), (original_authors, str),
+        (latitudes, float), (longitudes, float),
+    )
+    values = (
+        ids,
+        map(datetime.fromtimestamp, seconds, repeat(timezone.utc)),
+        authors,
+        texts,
+        map(tuple, hashtags),
+        [None if pair is None else RetweetRef(*pair) for pair in retweets],
+        replies,
+        [None if pair is None else tuple(pair) for pair in points],
+        counts,
+    )
+    tweets = list(map(object.__new__, repeat(Tweet, len(rows))))
+    for set_field, column in zip(_FIELD_SETTERS, values):
+        deque(map(set_field, tweets, column), maxlen=0)
+    return tweets
+
+
+def _check_columns(*columns: tuple) -> None:
+    """Raise ValueError unless each ``(values, *types)`` holds only values of those types."""
+    for values, *types in columns:
+        if not set(map(type, values)).issubset(types):
+            raise ValueError("cache entry of the wrong shape")
+
+
+def _row(tweet: Tweet) -> str:
+    """The entry line of a parsed Tweet; ``_rows_tweets`` turns it back into an equal one."""
+    retweet_of, reply_to, coords, count = (
+        tweet.retweet_of, tweet.reply_to, tweet.coords, tweet.retweet_count
+    )
+    # formatted by hand: a JSONEncoder.encode call per row took twice as
+    # long, and the first read of new bytes pays for writing every row
+    return (
+        f"[{tweet.id},{(tweet.created_at - _EPOCH) // _SECOND},{_quote(tweet.author)},"
+        f"{_quote(tweet.text)},[{','.join(map(_quote, tweet.hashtags))}],"
+        f"{'null' if retweet_of is None else f'[{retweet_of[0]},{_quote(retweet_of[1])}]'},"
+        f"{'null' if reply_to is None else _quote(reply_to)},"
+        f"{'null' if coords is None else f'[{coords[0]!r},{coords[1]!r}]'},"
+        f"{'null' if count is None else count}]\n"
+    )
+
+
+def _store_entry(entry: Path, total_lines: int, malformed: int, tweets: list[Tweet]) -> None:
+    """Write the cache entry of one parse, then prune the cache; on a failure, write nothing."""
+    directory = entry.parent
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=directory)
+        try:
+            with open(fd, "w", encoding="ascii", newline="\n") as out:
+                out.write(f"[{total_lines},{malformed}]\n")
+                for start in range(0, len(tweets), _WRITE_BATCH_ROWS):
+                    out.write("".join(map(_row, tweets[start : start + _WRITE_BATCH_ROWS])))
+            os.replace(temp, entry)  # readers see a whole entry or none
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(temp)
+            raise
+        _prune(directory)
+    except (OSError, ValueError):
+        pass  # the parse stands without an entry
+
+
+def _prune(directory: Path) -> None:
+    """Keep the ``_CACHE_ENTRIES`` most recently used entries and no stale temp file."""
+    entries = []
+    stale = time.time() - _STALE_TEMP_S
+    with os.scandir(directory) as items:
+        for item in items:
+            if item.name.endswith(".jsonl"):
+                entries.append((item.stat().st_mtime_ns, item.path))
+            elif item.name.endswith(".tmp") and item.stat().st_mtime < stale:
+                os.unlink(item.path)
+    entries.sort(reverse=True)
+    for _used, path in entries[_CACHE_ENTRIES:]:
+        os.unlink(path)

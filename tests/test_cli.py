@@ -90,6 +90,30 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["event.jsonl"]
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--format", "csv", "stats", "A"], "--format"),
+            (["--tz", "60", "histogram", "a", "h.dat"], "--tz"),
+            (["--format=csv", "stats", "A"], "--format"),
+        ],
+    )
+    def test_option_before_the_subcommand_is_named(self, capsys, argv, option):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [message] = [line for line in err.splitlines() if "error:" in line]
+        assert message == (
+            f"eventpulse: error: option {option} goes after the subcommand: "
+            "eventpulse COMMAND [options]"
+        )
+        assert err.startswith("usage: eventpulse")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["stats", "-h"]])
+    def test_help_still_works(self, capsys, argv):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: eventpulse")
+
     def test_missing_archive_is_1(self, tmp_path, capsys):
         code = run(["stats", str(tmp_path / "absent.jsonl")])
         assert code == 1

@@ -1,0 +1,423 @@
+"""The parse cache behind read_archive.
+
+A warm read must give what a cold parse gives, and no fault in the cache
+(no home, an unusable cache directory, a torn or altered entry, a writer
+killed mid-write, an archive changed after its entry was written) may
+change a result or an exit code: the read falls back to the parse.
+"""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from conftest import make_record, record_line, write_archive
+from eventpulse import tweets
+from eventpulse.cli import run
+from eventpulse.tweets import read_archive
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def archive(tmp_path):
+    """Every kind of field a row carries, a duplicate id and three malformed lines."""
+    lines = [
+        record_line(id=1, screen_name="ane", text="bat #gora"),
+        # the row that test_row_of_the_wrong_shape alters: every field set
+        record_line(
+            id=2, screen_name="mikel", text="RT @ane: bat", retweet=(1, "ane", 7),
+            reply_to="ane", coordinates=(-0.0, 43.26),
+        ),
+        # json.dumps escapes the lone surrogate, so the line is UTF-8
+        json.dumps(make_record(
+            id=3, screen_name="un\ud800ai", text="kontrol\x01 #Gora", hashtags=["Gora"],
+        )),
+        record_line(id=2**64 - 1, screen_name="jon", created_at="9999-12-31T23:59:59Z"),
+        record_line(id=4, screen_name="ane", created_at="0001-01-01T00:00:00+00:00"),
+        record_line(id=1, screen_name="ane", text="bat berriz"),  # duplicate id
+        "{oops",
+        "",
+        b"\xff\xfe",
+    ]
+    return write_archive(tmp_path / "event.jsonl", lines)
+
+
+def entries(cache: Path) -> list[Path]:
+    return sorted(cache.glob("*.jsonl")) if cache.is_dir() else []
+
+
+def results(path: Path, capsys) -> tuple:
+    """Both reads' Tweets (as repr) and stats, then two commands' exit codes and stdout."""
+    reads = []
+    for dedupe in (False, True):
+        got, stats = read_archive(path, dedupe=dedupe)
+        reads.append((repr(got), stats))
+    commands = []
+    for argv in (["stats", str(path)], ["top-users", "-f", str(path), "--by", "retweets"]):
+        code = run(argv)
+        commands.append((code, capsys.readouterr().out))
+    return reads, commands
+
+
+@pytest.fixture
+def cold(tmp_path_factory, capsys):
+    """``results`` with an empty cache of its own: what a cold parse gives."""
+    def parse(path: Path) -> tuple:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cold")))
+            return results(path, capsys)
+    return parse
+
+
+def test_a_warm_read_decodes_no_record(archive, parse_cache, cold, capsys, monkeypatch):
+    expected = cold(archive)
+    assert entries(parse_cache) == []
+    read_archive(archive)
+    [entry] = entries(parse_cache)
+
+    def refuse(*args):
+        raise AssertionError("a record was parsed: the read missed the cache")
+
+    monkeypatch.setattr(tweets, "_decode_record", refuse)
+    monkeypatch.setattr(tweets, "_build_tweet", refuse)
+    assert results(archive, capsys) == expected
+    assert entries(parse_cache) == [entry]
+
+
+def test_entry_layout(archive, parse_cache):
+    tweets_, stats = read_archive(archive)
+    [entry] = entries(parse_cache)
+    data = entry.read_bytes()
+    assert data.isascii() and data.endswith(b"\n")
+    header, *rows = data.decode().splitlines()
+    assert json.loads(header) == [9, 3]
+    assert stats.total_lines == 9 and stats.skipped_malformed == 3
+    assert len(rows) == 6 == len(tweets_)  # every valid record, the duplicate too
+    assert json.loads(rows[1]) == [
+        2, 1426788000, "mikel", "RT @ane: bat", [], [1, "ane"], "ane", [43.26, -0.0], 7,
+    ]
+    assert "\\ud800" in rows[2] and "\\u0001" in rows[2]
+
+
+def test_entry_name_covers_the_archive_the_parser_and_python(archive, tmp_path, parse_cache):
+    read_archive(archive)
+    other_parser = tmp_path / "tweets.py"
+    other_parser.write_bytes(Path(tweets.__file__).read_bytes() + b"\n")
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tweets, "__file__", str(other_parser))
+            tweets._code_key.cache_clear()
+            read_archive(archive)
+            patch.setattr(sys, "version", sys.version + " (other build)")
+            tweets._code_key.cache_clear()
+            read_archive(archive)
+    finally:
+        tweets._code_key.cache_clear()
+    assert len(entries(parse_cache)) == 3
+
+
+def test_cache_directory_follows_xdg_then_home(archive, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a relative XDG_CACHE_HOME would land
+    home = tmp_path / "home"
+    monkeypatch.setenv("HOME", str(home))
+    for value in ("", "relative/cache"):
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+        read_archive(archive)
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    read_archive(archive)
+    assert len(entries(home / ".cache" / "eventpulse")) == 1
+    assert not (tmp_path / "relative").exists()
+
+
+# --- faults: each read equals a cold parse ----------------------------------------
+
+
+def test_no_home(archive, cold, capsys, monkeypatch):
+    expected = cold(archive)
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.delenv("HOME", raising=False)
+
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(Path, "home", classmethod(no_home))
+    assert results(archive, capsys) == expected
+
+
+def test_cache_home_is_a_regular_file(archive, tmp_path, cold, capsys, monkeypatch):
+    expected = cold(archive)
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_bytes(b"keep")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert results(archive, capsys) == expected
+    assert blocker.read_bytes() == b"keep"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes through permission bits")
+def test_cache_home_is_read_only(archive, tmp_path, cold, capsys, monkeypatch):
+    expected = cold(archive)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    locked.chmod(0o555)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(locked))
+    try:
+        assert results(archive, capsys) == expected
+        assert list(locked.iterdir()) == []
+    finally:
+        locked.chmod(0o755)
+
+
+def test_entry_cannot_be_written(archive, parse_cache, cold, capsys, monkeypatch):
+    # what a read-only directory does to a user that permission bits bind
+    expected = cold(archive)
+
+    def refused(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refused)
+    assert results(archive, capsys) == expected
+    assert entries(parse_cache) == []
+
+
+def corrupt(parse_cache: Path, archive: Path, change) -> tuple[Path, bytes]:
+    """Write the archive's entry, then replace its bytes with ``change(bytes)``."""
+    read_archive(archive)
+    [entry] = entries(parse_cache)
+    whole = entry.read_bytes()
+    entry.write_bytes(change(whole))
+    return entry, whole
+
+
+@pytest.mark.parametrize("keep", [0, 1, 5, 40, -2, -30])
+def test_truncated_entry(archive, parse_cache, cold, capsys, keep):
+    entry, whole = corrupt(parse_cache, archive, lambda data: data[:keep])
+    assert results(archive, capsys) == cold(archive)
+    assert entry.read_bytes() == whole  # the fallback parse wrote it again
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda lines: lines[:-1],  # a row short
+        lambda lines: lines + lines[-1:],  # a row over
+        lambda lines: [b"[9,2]\n", *lines[1:]],  # a header that counts one more valid line
+        lambda lines: [b"[9,-1]\n", *lines[1:]],
+        lambda lines: [b"[9]\n", *lines[1:]],
+        lambda lines: [b'{"total":9}\n', *lines[1:]],
+        lambda lines: [b"[9.0,3.0]\n", *lines[1:]],
+    ],
+    ids=["row-missing", "row-extra", "header-count", "header-negative", "header-short",
+         "header-object", "header-floats"],
+)
+def test_entry_with_a_wrong_header_or_row_count(archive, parse_cache, cold, capsys, change):
+    entry, whole = corrupt(
+        parse_cache, archive,
+        lambda data: b"".join(change(data.splitlines(keepends=True))),
+    )
+    assert results(archive, capsys) == cold(archive)
+    assert entry.read_bytes() == whole
+
+
+def altered(index: int, value):
+    """Row 1 (the record with every field set) with field ``index`` set to ``value``."""
+    def change(row: list) -> bytes:
+        row[index] = value
+        return json.dumps(row).encode()
+    return change
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        lambda row: b"[1,2]",
+        lambda row: b'{"id":2}',
+        lambda row: json.dumps({str(i): v for i, v in enumerate(row)}).encode(),
+        lambda row: b'"' + b"x" * 9 + b'"',
+        lambda row: b"",
+        lambda row: b"[" * 100_000,
+        lambda row: b"\xff" + json.dumps(row).encode(),
+        lambda row: json.dumps(row).encode() + b"," + json.dumps(row).encode(),  # a row over
+        lambda row: json.dumps(row + [None]).encode(),
+        altered(0, "2"),
+        altered(1, 1426788000.5),
+        altered(1, 10**12),  # past year 9999
+        altered(2, None),
+        altered(3, 5),
+        altered(4, "gora"),
+        altered(4, [1]),
+        altered(5, [1, "ane", 7]),
+        altered(5, {"id": 1, "user": "ane"}),
+        altered(5, [True, "ane"]),
+        altered(6, ["ane"]),
+        altered(7, [43, -2]),
+        altered(7, [43.26]),
+        altered(8, True),
+        altered(8, "7"),
+    ],
+)
+def test_row_of_the_wrong_shape(archive, parse_cache, cold, capsys, bad_row):
+    def change(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        lines[2] = bad_row(json.loads(lines[2]))
+        return b"\n".join(lines)
+
+    entry, whole = corrupt(parse_cache, archive, change)
+    assert results(archive, capsys) == cold(archive)
+    assert entry.read_bytes() == whole
+
+
+def test_writer_killed_before_its_entry_was_in_place(archive, parse_cache, cold, capsys):
+    # a child process that dies at the step that would publish its entry
+    script = (
+        "import os, signal, sys\n"
+        "from eventpulse.tweets import read_archive\n"
+        "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "read_archive(sys.argv[1])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script, str(archive)], env=env, timeout=60)
+    assert done.returncode == -signal.SIGKILL
+    [left] = parse_cache.glob("*.tmp")
+    assert entries(parse_cache) == []
+    assert results(archive, capsys) == cold(archive)
+    assert len(entries(parse_cache)) == 1
+    assert left.exists()  # young enough to be another writer's; the next prune leaves it
+
+
+def test_prune_removes_stale_temp_files(archive, tmp_path, parse_cache):
+    parse_cache.mkdir(parents=True)
+    stale, fresh = parse_cache / ".stale.tmp", parse_cache / ".fresh.tmp"
+    stale.write_bytes(b"[3,0]\n[1,")
+    fresh.write_bytes(b"[3,0]\n[1,")
+    two_hours_ago = time.time() - 7200
+    os.utime(stale, (two_hours_ago, two_hours_ago))
+    read_archive(archive)
+    assert not stale.exists() and fresh.exists()
+
+
+def test_archive_appended_after_its_entry(archive, parse_cache, cold, capsys):
+    read_archive(archive)
+    with open(archive, "ab") as handle:
+        handle.write((record_line(id=9, screen_name="berria") + "\n").encode())
+    expected = cold(archive)
+    assert "berria" in expected[0][0][0]
+    assert results(archive, capsys) == expected
+
+
+def test_archive_that_grows_between_its_hash_and_its_parse(archive, parse_cache, cold, capsys,
+                                                           monkeypatch):
+    # the entry must be named by the bytes parsed, not by the ones hashed
+    original = archive.read_bytes()
+    hashed = tweets._entry_path
+
+    def hash_then_append(handle):
+        entry = hashed(handle)
+        with open(archive, "ab") as more:
+            more.write((record_line(id=9, screen_name="berria") + "\n").encode())
+        return entry
+
+    monkeypatch.setattr(tweets, "_entry_path", hash_then_append)
+    assert "berria" in repr(read_archive(archive)[0])
+    monkeypatch.setattr(tweets, "_entry_path", hashed)
+    archive.write_bytes(original)
+    assert results(archive, capsys) == cold(archive)
+
+
+def test_archive_rewritten_at_the_same_size_and_mtime(archive, parse_cache, cold, capsys):
+    read_archive(archive)
+    before = archive.stat()
+    data = archive.read_bytes()
+    archive.write_bytes(data.replace(b'"mikel"', b'"mikal"'))
+    os.utime(archive, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert archive.stat().st_size == before.st_size
+    expected = cold(archive)
+    assert "mikal" in expected[0][0][0]
+    assert results(archive, capsys) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_is_never_cached(archive, tmp_path, parse_cache, cold, capsys):
+    fifo = tmp_path / "feed"
+    os.mkfifo(fifo)
+    data = archive.read_bytes()
+
+    def fed(action):
+        """``action()`` while a writer sends the archive bytes through the FIFO once."""
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            return action()
+        finally:
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+
+    reads = [fed(lambda: read_archive(fifo, dedupe=dedupe)) for dedupe in (False, True)]
+    commands = []
+    for argv in (["stats", str(fifo)], ["top-users", "-f", str(fifo), "--by", "retweets"]):
+        commands.append((fed(lambda: run(argv)), capsys.readouterr().out))
+    assert ([(repr(got), stats) for got, stats in reads], commands) == cold(archive)
+    assert entries(parse_cache) == []
+
+
+def test_keeps_the_16_most_recently_used(tmp_path, parse_cache):
+    paths = [write_archive(tmp_path / f"a{i}.jsonl", [record_line(id=i + 1)]) for i in range(17)]
+    entry_of = {}
+    for second, path in enumerate(paths[:16], start=1):
+        before = set(entries(parse_cache))
+        read_archive(path)
+        [entry_of[path]] = set(entries(parse_cache)) - before
+        os.utime(entry_of[path], (second, second))  # used in this order, long ago
+    read_archive(paths[0])  # a hit makes the oldest the newest
+    read_archive(paths[16])
+    assert len(entries(parse_cache)) == 16
+    assert not entry_of[paths[1]].exists()
+    assert entry_of[paths[0]].exists()
+
+
+def test_one_entry_serves_both_dedupe_values(archive, parse_cache):
+    kept, kept_stats = read_archive(archive, dedupe=True)
+    everything, stats = read_archive(archive, dedupe=False)
+    assert len(entries(parse_cache)) == 1
+    assert (kept_stats.parsed, kept_stats.duplicates_dropped) == (5, 1)
+    assert (stats.parsed, stats.duplicates_dropped) == (6, 0)
+    assert [t.id for t in everything].count(1) == 2 and [t.id for t in kept].count(1) == 1
+
+
+def test_the_tool_leaves_other_cache_files_alone(archive, parse_cache):
+    parse_cache.mkdir(parents=True)
+    note = parse_cache / "README"
+    note.write_bytes(b"mine")
+    read_archive(archive)
+    assert note.read_bytes() == b"mine"
+
+
+def test_an_empty_archive_gets_a_header_only_entry(tmp_path, parse_cache):
+    path = write_archive(tmp_path / "empty.jsonl", [])
+    assert read_archive(path) == ([], tweets.ParseStats())
+    [entry] = entries(parse_cache)
+    assert entry.read_bytes() == b"[0,0]\n"
+    assert read_archive(path, dedupe=True) == ([], tweets.ParseStats())
+
+
+def test_offsets_at_the_ends_of_the_datetime_range(tmp_path, parse_cache, cold, capsys):
+    # a non-UTC offset that stays in range, and one that leaves it
+    lines = [
+        record_line(id=1, created_at="Mon Jan 01 01:00:00 +0100 0001"),
+        record_line(id=2, created_at="Mon Jan 01 00:59:59 +0100 0001"),
+        record_line(id=3, created_at="Fri Dec 31 23:59:59 -0130 9999"),
+        record_line(id=4, created_at="2015-03-19T10:05:00+05:45"),
+        json.dumps(make_record(id=5, text="-0.0", geo=(-0.0, -0.0))),
+    ]
+    path = write_archive(tmp_path / "edges.jsonl", lines)
+    expected = cold(path)
+    read_archive(path)
+    assert results(path, capsys) == expected

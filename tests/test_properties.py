@@ -5,17 +5,32 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
 import re
+import shutil
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, random_corpus, record_line, union_find_components, write_archive
+from conftest import (
+    gexf_problems,
+    make_record,
+    random_corpus,
+    record_line,
+    union_find_components,
+    write_archive,
+)
+from eventpulse import cli
+from eventpulse import tweets as tweets_module
 from eventpulse.analytics import (
     activity_counts,
     extract_coordinates,
@@ -569,6 +584,222 @@ def test_built_tweets_pass_the_public_constructor(records):
     for tweet in tweets:
         public = rebuilt(tweet)
         assert (public, repr(public)) == (tweet, repr(tweet))
+
+
+# --- parse cache: cold, warm and fresh-interpreter reads agree ---------------
+
+# all of Unicode, lone surrogates and control characters included; the
+# sampled ones are drawn often, where the whole range rarely gives them
+UNICODE_CHARACTERS = st.characters(exclude_categories=()) | st.sampled_from(
+    ["\ud800", "\udc00", "\udfff", "\x00", "\x01", "\n", "\x7f", "\u2028", "\ufeff", "é"]
+)
+ALL_UNICODE = st.text(UNICODE_CHARACTERS, max_size=6)
+EDGE_STAMPS = st.sampled_from([
+    "0001-01-01T00:00:00Z",
+    "Mon Jan 01 01:00:00 +0100 0001",
+    "Mon Jan 01 00:59:59 +0100 0001",  # before year 1 in UTC: malformed
+    "9999-12-31T23:59:59Z",
+    "Fri Dec 31 22:29:59 -0130 9999",
+    "Fri Dec 31 23:59:59 -0130 9999",  # past year 9999 in UTC: malformed
+    "Thu Mar 19 10:05:00 +0545 2015",
+    "2015-03-19T10:05:00-08:00",
+])
+EDGE_IDS = st.sampled_from([1, 2, 3, MAX_ID - 1, MAX_ID])
+SIGNED_ZEROS = st.sampled_from([-0.0, 0.0])
+
+
+@st.composite
+def cache_records(draw):
+    """A record to stress an entry row: all of Unicode, the ends of the id and date ranges, -0.0."""
+    return make_record(
+        id=draw(EDGE_IDS),
+        created_at=draw(EDGE_STAMPS),
+        screen_name=draw(ALL_UNICODE),
+        text=draw(ALL_UNICODE),
+        hashtags=draw(st.none() | st.lists(ALL_UNICODE, max_size=3)),
+        retweet=draw(
+            st.none() | st.tuples(EDGE_IDS, ALL_UNICODE, st.none() | st.integers(0, 2**63))
+        ),
+        reply_to=draw(st.none() | ALL_UNICODE),
+        geo=draw(st.none() | st.tuples(
+            SIGNED_ZEROS | st.floats(-90, 90), SIGNED_ZEROS | st.floats(-180, 180)
+        )),
+        retweet_count=draw(st.none() | st.integers(0, 10)),
+    )
+
+
+# a lone surrogate written raw ("surrogatepass") is not UTF-8: a malformed line
+CACHE_LINES = st.one_of(
+    cache_records().map(lambda record: json.dumps(record).encode()),
+    cache_records().map(lambda record: json.dumps(record, ensure_ascii=False).encode(
+        "utf-8", "surrogatepass")),
+    ARCHIVE_LINES,
+)
+FRESH_INTERPRETER_READ = """
+import json, sys
+from eventpulse import tweets
+def refuse(*args):
+    raise AssertionError("a record was parsed: the read missed the cache")
+tweets._decode_record = tweets._build_tweet = refuse
+reads = [tweets.read_archive(sys.argv[1], dedupe=dedupe) for dedupe in (False, True)]
+print(json.dumps([[repr(got), repr(stats)] for got, stats in reads]))
+"""
+
+
+def shown(read):
+    """A read as text: the repr of every Tweet, then of the ParseStats."""
+    tweets, stats = read
+    return [repr(tweets), repr(stats)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lines=st.lists(st.tuples(CACHE_LINES, st.sampled_from([b"\n", b"\r\n"])), max_size=12),
+    last_end=st.sampled_from([b"", b"\n"]),
+)
+def test_cold_warm_and_fresh_interpreter_reads_agree(lines, last_end):
+    cache = Path(os.environ["XDG_CACHE_HOME"]) / "eventpulse"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.jsonl"
+        path.write_bytes(b"".join(line + end for line, end in lines[:-1])
+                         + b"".join(line + last_end for line, _ in lines[-1:]))
+        cold = []
+        for dedupe in (False, True):
+            shutil.rmtree(cache, ignore_errors=True)
+            cold.append(shown(read_archive(path, dedupe=dedupe)))
+        assert len(list(cache.glob("*.jsonl"))) == 1
+        refuse = AssertionError("a record was parsed: the read missed the cache")
+        with mock.patch.object(tweets_module, "_decode_record", side_effect=refuse), \
+                mock.patch.object(tweets_module, "_build_tweet", side_effect=refuse):
+            warm = [read_archive(path, dedupe=dedupe) for dedupe in (False, True)]
+        assert [shown(read) for read in warm] == cold
+        for tweet in warm[0][0]:
+            public = rebuilt(tweet)
+            assert (public, repr(public)) == (tweet, repr(tweet))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", FRESH_INTERPRETER_READ, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == cold
+
+
+# --- every analysis command over names from all of Unicode --------------------
+
+UNICODE_NAMES = st.text(UNICODE_CHARACTERS, min_size=1, max_size=4)
+ANALYSIS_COMMANDS = [
+    ["stats", "{archive}"],
+    ["histogram", "{archive}", "{dir}/h.dat"],
+    ["top-tweets", "-f", "{archive}"],
+    ["top-tweets", "-f", "{archive}", "--format", "csv"],
+    ["top-users", "-f", "{archive}"],
+    ["top-users", "-f", "{archive}", "--format", "csv"],
+    ["top-users", "-f", "{archive}", "--by", "retweets"],
+    ["top-users", "-f", "{archive}", "--by", "retweets", "--format", "csv"],
+    ["coordinates", "{archive}", "{dir}/c.csv"],
+    ["interactions", "{archive}", "{dir}/e.csv", "--communities", "--gexf", "{dir}/g.gexf"],
+    ["interactions", "{archive}", "{dir}/e.csv", "--merge-kinds", "--communities",
+     "--format", "csv"],
+]
+
+
+@st.composite
+def unicode_archives(draw) -> list[str]:
+    """Up to six records among up to three names; names and texts from all of Unicode."""
+    names = draw(st.lists(UNICODE_NAMES, min_size=1, max_size=3))
+    records = []
+    for number in range(1, draw(st.integers(1, 6)) + 1):
+        records.append(make_record(
+            id=number,
+            created_at=datetime(2015, 3, 19, tzinfo=timezone.utc) + timedelta(minutes=37 * number),
+            screen_name=draw(st.sampled_from(names)),
+            text=draw(st.text(UNICODE_CHARACTERS, max_size=8)),
+            retweet=draw(st.none() | st.tuples(st.integers(100, 101), st.sampled_from(names),
+                                               st.integers(0, 9))),
+            reply_to=draw(st.none() | st.sampled_from(names)),
+            geo=draw(st.none() | st.just((43.26, -2.67))),
+        ))
+    return [json.dumps(record) for record in records]  # escapes surrogates: UTF-8 lines
+
+
+def snapshot(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def restore(directory: Path, files: dict[str, bytes]) -> None:
+    for path in directory.iterdir():
+        if path.name not in files:
+            path.unlink()
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+
+
+def run_with_stdout(argv: list[str], encoding: str) -> tuple[int, bytes, str]:
+    """``cli.run(argv)`` with stdout in ``encoding``: exit code, stdout bytes, stderr text."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding, write_through=True)
+    stderr = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.run(argv)
+    return code, stdout.buffer.getvalue(), stderr.getvalue()
+
+
+def csv_parses(text: str) -> bool:
+    rows = list(csv.reader(io.StringIO(text)))
+    return bool(rows) and len({len(row) for row in rows}) == 1
+
+
+def outputs_parse(argv: list[str], printed: str, directory: Path) -> bool:
+    """Whether what a successful command printed and wrote reads back as its format."""
+    if "csv" in argv:
+        # interactions prints its summary line before the communities CSV
+        if not csv_parses(printed.split("\n", 1)[1] if argv[0] == "interactions" else printed):
+            return False
+    for name in ("h.dat", "c.csv", "e.csv", "g.gexf"):
+        path = directory / name
+        if not path.exists():
+            continue
+        text = path.read_text("utf-8")
+        if name == "h.dat":
+            if not all(re.fullmatch(r"\S+\t\d+", line) for line in text.splitlines()):
+                return False
+        elif name == "g.gexf":
+            if gexf_problems(path):
+                return False
+        elif not csv_parses(text):
+            return False
+    return True
+
+
+@settings(max_examples=25, deadline=None)
+@given(lines=unicode_archives())
+def test_every_command_succeeds_whole_or_fails_whole_cold_and_warm(lines):
+    cache = Path(os.environ["XDG_CACHE_HOME"]) / "eventpulse"
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        archive = write_archive(directory / "a.jsonl", lines)
+        before = snapshot(directory)
+        for command in ANALYSIS_COMMANDS:
+            argv = [arg.format(archive=archive, dir=directory) for arg in command]
+            for encoding in ("utf-8", "ascii"):
+                shutil.rmtree(cache, ignore_errors=True)
+                runs = []
+                for _cold_then_warm in range(2):
+                    restore(directory, before)
+                    code, printed, errors = run_with_stdout(argv, encoding)
+                    runs.append((code, printed, errors, snapshot(directory)))
+                    assert list(cache.glob("*.jsonl")), "the read wrote no entry"
+                    if code == 0:
+                        assert errors == ""
+                        assert outputs_parse(argv, printed.decode(encoding), directory), argv
+                    else:
+                        assert code == 1 and printed == b"", (argv, code, errors)
+                        [line] = errors.splitlines()
+                        assert line.startswith("error: ")
+                        assert snapshot(directory) == before
+                assert runs[0] == runs[1], (argv, encoding)
 
 
 # --- timestamps --------------------------------------------------------------
