@@ -9,12 +9,14 @@ duplicate ids already; ``read_archive(path, dedupe=True)`` does that.
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
 
-from .tweets import Tweet, _csv_text, _name_order
+from .tweets import Tweet
 
 __all__ = [
     "HistogramBucket",
@@ -37,6 +39,20 @@ COUNT_SOURCES = ("observed", "embedded")
 
 # offsets span UTC-14:00 .. UTC+14:00
 MAX_TZ_OFFSET_MINUTES = 840
+
+
+def _name_order(name: str) -> tuple[str, str]:
+    """Sort key for names: case-insensitively first, then by exact name."""
+    return (name.casefold(), name)
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text of a header and rows: fields quoted only when they need it, LF row ends."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,6 +24,7 @@ import threading
 from typing import Sequence
 
 from . import analytics, graph as graphs
+from .analytics import _csv_text
 from .collector import (
     MODES,
     CollectionJob,
@@ -34,7 +35,7 @@ from .collector import (
     collect_search,
     collect_stream,
 )
-from .tweets import ParseError, ParseStats, Tweet, _csv_text, read_archive
+from .tweets import ParseError, ParseStats, Tweet, read_archive
 
 DEFAULT_DATA_DIR = "./data"
 DEFAULT_SEED = 42

@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .tweets import Tweet, _csv_text, _name_order
+from .analytics import _csv_text, _name_order
+from .tweets import Tweet
 
 __all__ = [
     "KIND_REPLY",

@@ -10,21 +10,21 @@ fields read here are ``id``, ``created_at``, ``user.screen_name``,
 Parsing never rewrites archive lines: the collector stores raw bytes
 and this module only builds an in-memory view of them.
 
-``read_archive`` parses the bytes of a regular file once. It may write
-a cache entry under ``$XDG_CACHE_HOME/eventpulse/`` (default
-``~/.cache/eventpulse/``), named by the sha256 of the archive bytes,
-this file's bytes and ``sys.version``. A later read of the same bytes
-rebuilds the same Tweets and ParseStats from that entry without
-decoding a record. The 16 most recently used entries are kept, and an
-entry that cannot be read or written is parsed around.
+``read_archive`` parses the bytes of a regular file at most twice. The
+first read leaves a marker ``<digest>.seen`` under
+``$XDG_CACHE_HOME/eventpulse/`` (default ``~/.cache/eventpulse/``), the
+digest being the sha256 of the archive bytes, this file's bytes and
+``sys.version``. The second writes the entry ``<digest>.jsonl``, from
+which later reads rebuild the same result without decoding a record, so
+a day file still being written never gets one. The 16 most recently used
+entries and, apart, the 16 newest markers are kept, and an entry that
+cannot be read or written is parsed around.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import re
@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable, NamedTuple
+from typing import BinaryIO, NamedTuple
 
 __all__ = [
     "MAX_ID",
@@ -284,20 +284,6 @@ def _screen_name(value: object) -> str | None:
     return name or None
 
 
-def _name_order(name: str) -> tuple[str, str]:
-    """Sort key for names: case-insensitively first, then by exact name."""
-    return (name.casefold(), name)
-
-
-def _csv_text(header: list[str], rows) -> str:
-    """CSV text of a header and rows: fields quoted only when they need it, LF row ends."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return text.getvalue()
-
-
 def _parse_screen_name(container: object, field_name: str) -> str:
     if isinstance(container, dict) and (name := _screen_name(container.get("screen_name"))):
         return name
@@ -466,40 +452,46 @@ def read_archive(
     Tweets come back in file order. With ``dedupe`` the second and
     later occurrences of an id are dropped and counted.
 
-    The bytes of a regular file are parsed once: the read that parses
-    them writes a cache entry of every valid record (see the module
-    docstring), and a later read of the same bytes, with either
-    ``dedupe``, rebuilds the same result from that entry.
+    The bytes of a regular file are parsed at most twice (see the module
+    docstring): from the third read of the same bytes on, with either
+    ``dedupe``, the same result is rebuilt from their cache entry.
     """
     with open(path, "rb") as handle:
         entry = _entry_path(handle)
-        if entry is not None and (cached := _load_entry(entry, dedupe)) is not None:
-            return cached
-        # the entry is named by the bytes parsed here, so a file that
-        # changed after it was hashed above cannot pass for its old bytes
-        digest = _keyed_digest() if entry is not None else None
-        valid: list[Tweet] = []
-        total_lines = malformed = 0
-        for raw in handle:
-            total_lines += 1
+        parse = _load_entry(entry) if entry is not None else None
+        if parse is None:
+            # the entry is named by the bytes parsed here, so a file that
+            # changed after it was hashed above cannot pass for its old bytes
+            digest = _keyed_digest() if entry is not None else None
+            parse = _parse(handle, digest)
             if digest is not None:
-                digest.update(raw)
-            try:
-                record = _decode_record(raw.rstrip(b"\r\n"))
-                text, hashtags = _text_and_hashtags(record)
-                valid.append(_build_tweet(record, text, hashtags))
-            except ParseError:
-                malformed += 1
-    if digest is not None:
-        _store_entry(entry.with_name(f"{digest.hexdigest()}.jsonl"), total_lines, malformed, valid)
+                _store_entry(entry.with_name(f"{digest.hexdigest()}.jsonl"), *parse)
+    total_lines, malformed, valid = parse
     tweets, duplicates = _kept(valid, dedupe)
     return tweets, ParseStats(total_lines, len(tweets), malformed, duplicates)
 
 
-def _kept(tweets: Iterable[Tweet], dedupe: bool) -> tuple[list[Tweet], int]:
+def _parse(handle: BinaryIO, digest) -> tuple[int, int, list[Tweet]]:
+    """``(total_lines, malformed, valid)`` of the lines left in ``handle``, fed to ``digest``."""
+    valid: list[Tweet] = []
+    total_lines = malformed = 0
+    for raw in handle:
+        total_lines += 1
+        if digest is not None:
+            digest.update(raw)
+        try:
+            record = _decode_record(raw.rstrip(b"\r\n"))
+            text, hashtags = _text_and_hashtags(record)
+            valid.append(_build_tweet(record, text, hashtags))
+        except ParseError:
+            malformed += 1
+    return total_lines, malformed, valid
+
+
+def _kept(tweets: list[Tweet], dedupe: bool) -> tuple[list[Tweet], int]:
     """The valid tweets read_archive returns, in order, and how many duplicates it drops."""
     if not dedupe:
-        return list(tweets), 0
+        return tweets, 0
     kept: list[Tweet] = []
     seen: set[int] = set()
     duplicates = 0
@@ -521,9 +513,10 @@ def _kept(tweets: Iterable[Tweet], dedupe: bool) -> tuple[list[Tweet], int]:
 # coords ``[latitude,longitude]`` and each of the last four may be null.
 # Rows are compact ASCII-only JSON, so a lone surrogate is kept as its
 # escape. Entries are trusted like the user's own files: a row is checked
-# for shape, not held to the reader's rules again.
+# for shape, not held to the reader's rules again. A marker,
+# ``<sha256>.seen``, is empty: it only says that those bytes were read once.
 
-_CACHE_ENTRIES = 16
+_CACHE_ENTRIES = 16  # entries kept, and markers kept apart from them
 _STALE_TEMP_S = 3600  # a temp file this old was left by a writer that died
 _HASH_CHUNK = 1 << 20
 _WRITE_BATCH_ROWS = 1024
@@ -579,20 +572,20 @@ def _entry_path(handle: BinaryIO) -> Path | None:
     return directory / f"{digest.hexdigest()}.jsonl"
 
 
-def _load_entry(entry: Path, dedupe: bool) -> tuple[list[Tweet], ParseStats] | None:
-    """read_archive's result rebuilt from ``entry``; None if there is no whole entry to read."""
+def _load_entry(entry: Path) -> tuple[int, int, list[Tweet]] | None:
+    """The ``_parse`` result that ``entry`` holds; None if there is no whole entry to read."""
     try:
         with open(entry, "rb") as handle:
             total_lines, malformed = json.loads(handle.readline())
             _check_columns(((total_lines, malformed), int))
-            tweets, duplicates = _kept(_entry_tweets(handle), dedupe)
+            valid = list(_entry_tweets(handle))
     except (OSError, ValueError, TypeError, OverflowError, RecursionError):
         return None  # absent, torn or of the wrong shape
-    if len(tweets) + duplicates != total_lines - malformed:
+    if len(valid) != total_lines - malformed:
         return None
     with suppress(OSError):
         os.utime(entry)  # the mtime orders entries by last use
-    return tweets, ParseStats(total_lines, len(tweets), malformed, duplicates)
+    return total_lines, malformed, valid
 
 
 def _entry_tweets(handle: BinaryIO):
@@ -668,36 +661,49 @@ def _row(tweet: Tweet) -> str:
 
 
 def _store_entry(entry: Path, total_lines: int, malformed: int, tweets: list[Tweet]) -> None:
-    """Write the cache entry of one parse, then prune the cache; on a failure, write nothing."""
+    """Write the cache entry of one parse if its bytes were seen before, then prune the cache.
+
+    A miss that finds neither ``entry`` nor its ``.seen`` marker leaves the
+    marker instead. One that finds either (the marker, or an entry it could
+    not read) writes the entry and removes the marker. On a failure, nothing
+    is written.
+    """
     directory = entry.parent
+    marker = entry.with_suffix(".seen")
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=directory)
-        try:
-            with open(fd, "w", encoding="ascii", newline="\n") as out:
-                out.write(f"[{total_lines},{malformed}]\n")
-                for start in range(0, len(tweets), _WRITE_BATCH_ROWS):
-                    out.write("".join(map(_row, tweets[start : start + _WRITE_BATCH_ROWS])))
-            os.replace(temp, entry)  # readers see a whole entry or none
-        except BaseException:
-            with suppress(OSError):
-                os.unlink(temp)
-            raise
+        if not (marker.exists() or entry.exists()):
+            directory.mkdir(parents=True, exist_ok=True)
+            marker.touch()
+        else:
+            fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=directory)
+            try:
+                with open(fd, "w", encoding="ascii", newline="\n") as out:
+                    out.write(f"[{total_lines},{malformed}]\n")
+                    for start in range(0, len(tweets), _WRITE_BATCH_ROWS):
+                        out.write("".join(map(_row, tweets[start : start + _WRITE_BATCH_ROWS])))
+                os.replace(temp, entry)  # readers see a whole entry or none
+            except BaseException:
+                with suppress(OSError):
+                    os.unlink(temp)
+                raise
+            marker.unlink(missing_ok=True)
         _prune(directory)
     except (OSError, ValueError):
         pass  # the parse stands without an entry
 
 
 def _prune(directory: Path) -> None:
-    """Keep the ``_CACHE_ENTRIES`` most recently used entries and no stale temp file."""
-    entries = []
+    """Keep the ``_CACHE_ENTRIES`` newest entries and, counted apart, markers; no stale temp."""
+    by_suffix: dict[str, list] = {".jsonl": [], ".seen": []}
     stale = time.time() - _STALE_TEMP_S
     with os.scandir(directory) as items:
         for item in items:
-            if item.name.endswith(".jsonl"):
-                entries.append((item.stat().st_mtime_ns, item.path))
-            elif item.name.endswith(".tmp") and item.stat().st_mtime < stale:
+            suffix = os.path.splitext(item.name)[1]
+            if suffix in by_suffix:
+                by_suffix[suffix].append((item.stat().st_mtime_ns, item.path))
+            elif suffix == ".tmp" and item.stat().st_mtime < stale:
                 os.unlink(item.path)
-    entries.sort(reverse=True)
-    for _used, path in entries[_CACHE_ENTRIES:]:
-        os.unlink(path)
+    for files in by_suffix.values():
+        files.sort(reverse=True)
+        for _used, path in files[_CACHE_ENTRIES:]:
+            os.unlink(path)

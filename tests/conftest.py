@@ -349,12 +349,14 @@ def korrika_archive() -> Path | None:
 def parse_cache(tmp_path_factory, monkeypatch) -> Path:
     """A fresh, empty parse cache for each test, outside its tmp_path.
 
-    ``read_archive`` writes entries under ``$XDG_CACHE_HOME/eventpulse``;
-    pointing that at a per-test directory keeps the suite out of the
-    user's cache and keeps one test's entries from serving another. The
-    variable is inherited by every child process a test starts.
-    Hypothesis's check for function-scoped fixtures skips autouse ones,
-    so the examples of one property test share this directory.
+    ``read_archive`` writes markers and entries under
+    ``$XDG_CACHE_HOME/eventpulse``: the first read of some bytes leaves a
+    marker, the second writes their entry. Pointing that at a per-test
+    directory keeps the suite out of the user's cache and keeps one
+    test's markers and entries from serving another. The variable is
+    inherited by every child process a test starts. Hypothesis's check
+    for function-scoped fixtures skips autouse ones, so the examples of
+    one property test share this directory.
     """
     root = tmp_path_factory.mktemp("xdg-cache")
     monkeypatch.setenv("XDG_CACHE_HOME", str(root))

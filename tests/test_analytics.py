@@ -7,10 +7,8 @@ from eventpulse.analytics import (
     HistogramBucket,
     RankedEntry,
     RankedTweet,
-    activity_counts,
     extract_coordinates,
     histogram,
-    received_retweet_counts,
     top_tweets_by_retweets,
     top_users_by_activity,
     top_users_by_received_retweets,
@@ -159,15 +157,6 @@ class TestUserRankings:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             top_users_by_activity([], 0)
-
-    def test_counts_merge_across_shards(self):
-        tweets = self.tweets_for_activity()
-        merged = activity_counts(tweets[:3]) + activity_counts(tweets[3:])
-        assert merged == activity_counts(tweets)
-        merged_rt = received_retweet_counts(tweets[:3]) + received_retweet_counts(
-            tweets[3:]
-        )
-        assert merged_rt == received_retweet_counts(tweets)
 
 
 class TestTopTweets:

@@ -8,6 +8,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stdout
 from datetime import datetime, timezone
 from pathlib import Path
@@ -538,6 +539,21 @@ class TestCollectCommand:
         assert len(archives) == 1
         assert archives[0].read_bytes().count(b"\n") == 10
 
+    def test_stream_off_the_main_thread(self, tmp_path, capsys):
+        # only the main thread may set a SIGINT handler; elsewhere the stop
+        # event alone ends the run
+        src = write_archive(tmp_path / "src.jsonl", self.source_lines())
+        argv = ["collect", "stream", "proba", "#proba", "--endpoint", str(src),
+                "--data-dir", str(tmp_path / "data")]
+        handler = signal.getsignal(signal.SIGINT)
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(run(argv)))
+        worker.start()
+        worker.join(timeout=30)
+        assert codes == [0]
+        assert "written 10" in capsys.readouterr().out
+        assert signal.getsignal(signal.SIGINT) is handler
+
     def test_search_from_file_endpoint(self, tmp_path, capsys):
         src = write_archive(tmp_path / "src.jsonl", self.source_lines())
         data_dir = tmp_path / "data"
@@ -707,23 +723,6 @@ class TestReadSeam:
                 "--data-dir", str(tmp_path / "data")]
         assert run(argv) == 0
         assert reads == []
-
-
-class TestDeterminism:
-    def test_outputs_are_byte_identical_across_reruns(
-        self, small_archive, tmp_path
-    ):
-        first = tmp_path / "one"
-        second = tmp_path / "two"
-        first.mkdir()
-        second.mkdir()
-        for target in (first, second):
-            run(["histogram", str(small_archive), str(target / "h.dat")])
-            run(["coordinates", str(small_archive), str(target / "c.csv")])
-            run(["interactions", str(small_archive), str(target / "e.csv"),
-                 "--gexf", str(target / "g.gexf"), "--seed", "42"])
-        for name in ("h.dat", "c.csv", "e.csv", "g.gexf"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_json_array_archive_is_all_malformed(tmp_path, capsys):

@@ -252,11 +252,6 @@ class TestLabelPropagation:
             assert len(right_labels) == 1
             assert left_labels != right_labels
 
-    def test_same_seed_same_answer(self):
-        first = label_propagation(BRIDGED, seed=7)
-        second = label_propagation(BRIDGED, seed=7)
-        assert first == second
-
     def test_labels_are_contiguous_from_zero(self):
         graph = undirected(
             {**triangle("a", "b", "c", 1), **triangle("x", "y", "z", 1), ("m", "n"): 1}

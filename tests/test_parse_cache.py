@@ -1,6 +1,8 @@
 """The parse cache behind read_archive.
 
-A warm read must give what a cold parse gives, and no fault in the cache
+The first read of new bytes leaves a marker, the second writes their
+entry, and a later read rebuilds the result from it. A warm read must
+give what a cold parse gives, and no fault in the cache
 (no home, an unusable cache directory, a torn or altered entry, a writer
 killed mid-write, an archive changed after its entry was written) may
 change a result or an exit code: the read falls back to the parse.
@@ -50,8 +52,23 @@ def archive(tmp_path):
     return write_archive(tmp_path / "event.jsonl", lines)
 
 
-def entries(cache: Path) -> list[Path]:
-    return sorted(cache.glob("*.jsonl")) if cache.is_dir() else []
+def entries(cache: Path, suffix: str = ".jsonl") -> list[Path]:
+    return sorted(cache.glob(f"*{suffix}")) if cache.is_dir() else []
+
+
+def cached(path: Path) -> None:
+    """Read ``path`` twice: the second sighting of its bytes writes their entry."""
+    read_archive(path)
+    read_archive(path)
+
+
+def refuse_to_parse(monkeypatch) -> None:
+    """From here on, a read that decodes or builds a record fails the test."""
+    def refuse(*args):
+        raise AssertionError("a record was parsed: the read missed the cache")
+
+    monkeypatch.setattr(tweets, "_decode_record", refuse)
+    monkeypatch.setattr(tweets, "_build_tweet", refuse)
 
 
 def results(path: Path, capsys) -> tuple:
@@ -80,19 +97,15 @@ def cold(tmp_path_factory, capsys):
 def test_a_warm_read_decodes_no_record(archive, parse_cache, cold, capsys, monkeypatch):
     expected = cold(archive)
     assert entries(parse_cache) == []
-    read_archive(archive)
+    cached(archive)
     [entry] = entries(parse_cache)
-
-    def refuse(*args):
-        raise AssertionError("a record was parsed: the read missed the cache")
-
-    monkeypatch.setattr(tweets, "_decode_record", refuse)
-    monkeypatch.setattr(tweets, "_build_tweet", refuse)
+    refuse_to_parse(monkeypatch)
     assert results(archive, capsys) == expected
     assert entries(parse_cache) == [entry]
 
 
 def test_entry_layout(archive, parse_cache):
+    cached(archive)
     tweets_, stats = read_archive(archive)
     [entry] = entries(parse_cache)
     data = entry.read_bytes()
@@ -108,17 +121,17 @@ def test_entry_layout(archive, parse_cache):
 
 
 def test_entry_name_covers_the_archive_the_parser_and_python(archive, tmp_path, parse_cache):
-    read_archive(archive)
+    cached(archive)
     other_parser = tmp_path / "tweets.py"
     other_parser.write_bytes(Path(tweets.__file__).read_bytes() + b"\n")
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tweets, "__file__", str(other_parser))
             tweets._code_key.cache_clear()
-            read_archive(archive)
+            cached(archive)
             patch.setattr(sys, "version", sys.version + " (other build)")
             tweets._code_key.cache_clear()
-            read_archive(archive)
+            cached(archive)
     finally:
         tweets._code_key.cache_clear()
     assert len(entries(parse_cache)) == 3
@@ -175,21 +188,25 @@ def test_cache_home_is_read_only(archive, tmp_path, cold, capsys, monkeypatch):
         locked.chmod(0o755)
 
 
-def test_entry_cannot_be_written(archive, parse_cache, cold, capsys, monkeypatch):
-    # what a read-only directory does to a user that permission bits bind
+@pytest.mark.parametrize("module, name", [(tempfile, "mkstemp"), (os, "replace")],
+                         ids=["mkstemp", "replace"])
+def test_entry_cannot_be_written(archive, parse_cache, cold, capsys, monkeypatch, module, name):
+    # what a read-only directory does to a user that permission bits bind;
+    # a writer whose rename is refused removes its temp file
     expected = cold(archive)
 
     def refused(*args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
-    monkeypatch.setattr(tempfile, "mkstemp", refused)
+    monkeypatch.setattr(module, name, refused)
     assert results(archive, capsys) == expected
     assert entries(parse_cache) == []
+    assert list(parse_cache.glob("*.tmp")) == []
 
 
 def corrupt(parse_cache: Path, archive: Path, change) -> tuple[Path, bytes]:
     """Write the archive's entry, then replace its bytes with ``change(bytes)``."""
-    read_archive(archive)
+    cached(archive)
     [entry] = entries(parse_cache)
     whole = entry.read_bytes()
     entry.write_bytes(change(whole))
@@ -281,6 +298,7 @@ def test_writer_killed_before_its_entry_was_in_place(archive, parse_cache, cold,
         "from eventpulse.tweets import read_archive\n"
         "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
         "read_archive(sys.argv[1])\n"
+        "read_archive(sys.argv[1])\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -288,6 +306,7 @@ def test_writer_killed_before_its_entry_was_in_place(archive, parse_cache, cold,
     assert done.returncode == -signal.SIGKILL
     [left] = parse_cache.glob("*.tmp")
     assert entries(parse_cache) == []
+    assert len(entries(parse_cache, ".seen")) == 1  # so the next read writes the entry
     assert results(archive, capsys) == cold(archive)
     assert len(entries(parse_cache)) == 1
     assert left.exists()  # young enough to be another writer's; the next prune leaves it
@@ -305,7 +324,7 @@ def test_prune_removes_stale_temp_files(archive, tmp_path, parse_cache):
 
 
 def test_archive_appended_after_its_entry(archive, parse_cache, cold, capsys):
-    read_archive(archive)
+    cached(archive)
     with open(archive, "ab") as handle:
         handle.write((record_line(id=9, screen_name="berria") + "\n").encode())
     expected = cold(archive)
@@ -317,6 +336,10 @@ def test_archive_that_grows_between_its_hash_and_its_parse(archive, parse_cache,
                                                            monkeypatch):
     # the entry must be named by the bytes parsed, not by the ones hashed
     original = archive.read_bytes()
+    grown = original + (record_line(id=9, screen_name="berria") + "\n").encode()
+    for data in (grown, original):  # both seen once, so the read below writes an entry
+        archive.write_bytes(data)
+        read_archive(archive)
     hashed = tweets._entry_path
 
     def hash_then_append(handle):
@@ -327,13 +350,14 @@ def test_archive_that_grows_between_its_hash_and_its_parse(archive, parse_cache,
 
     monkeypatch.setattr(tweets, "_entry_path", hash_then_append)
     assert "berria" in repr(read_archive(archive)[0])
+    assert len(entries(parse_cache)) == 1
     monkeypatch.setattr(tweets, "_entry_path", hashed)
     archive.write_bytes(original)
     assert results(archive, capsys) == cold(archive)
 
 
 def test_archive_rewritten_at_the_same_size_and_mtime(archive, parse_cache, cold, capsys):
-    read_archive(archive)
+    cached(archive)
     before = archive.stat()
     data = archive.read_bytes()
     archive.write_bytes(data.replace(b'"mikel"', b'"mikal"'))
@@ -365,7 +389,7 @@ def test_a_fifo_is_never_cached(archive, tmp_path, parse_cache, cold, capsys):
     for argv in (["stats", str(fifo)], ["top-users", "-f", str(fifo), "--by", "retweets"]):
         commands.append((fed(lambda: run(argv)), capsys.readouterr().out))
     assert ([(repr(got), stats) for got, stats in reads], commands) == cold(archive)
-    assert entries(parse_cache) == []
+    assert entries(parse_cache) == entries(parse_cache, ".seen") == []
 
 
 def test_keeps_the_16_most_recently_used(tmp_path, parse_cache):
@@ -373,17 +397,37 @@ def test_keeps_the_16_most_recently_used(tmp_path, parse_cache):
     entry_of = {}
     for second, path in enumerate(paths[:16], start=1):
         before = set(entries(parse_cache))
-        read_archive(path)
+        cached(path)
         [entry_of[path]] = set(entries(parse_cache)) - before
         os.utime(entry_of[path], (second, second))  # used in this order, long ago
     read_archive(paths[0])  # a hit makes the oldest the newest
-    read_archive(paths[16])
+    cached(paths[16])
     assert len(entries(parse_cache)) == 16
     assert not entry_of[paths[1]].exists()
     assert entry_of[paths[0]].exists()
+    # markers are kept apart: 17 one-off reads evict no entry
+    kept = entries(parse_cache)
+    for i in range(17):
+        read_archive(write_archive(tmp_path / f"once{i}.jsonl", [record_line(id=100 + i)]))
+    assert (entries(parse_cache), len(entries(parse_cache, ".seen"))) == (kept, 16)
 
 
-def test_one_entry_serves_both_dedupe_values(archive, parse_cache):
+def test_a_growing_file_never_writes_an_entry(archive, parse_cache, monkeypatch):
+    # each read of a day file being written sees new bytes
+    for number in range(5):
+        with open(archive, "ab") as handle:
+            handle.write((record_line(id=10 + number) + "\n").encode())
+        read_archive(archive)
+    assert (entries(parse_cache), len(entries(parse_cache, ".seen"))) == ([], 5)
+    cached(archive)  # the same bytes twice: now they are worth an entry
+    assert [entry.with_suffix(".seen").exists() for entry in entries(parse_cache)] == [False]
+    refuse_to_parse(monkeypatch)
+    assert [t.id for t in read_archive(archive)[0]][-5:] == [10, 11, 12, 13, 14]
+
+
+def test_one_entry_serves_both_dedupe_values(archive, parse_cache, monkeypatch):
+    cached(archive)
+    refuse_to_parse(monkeypatch)
     kept, kept_stats = read_archive(archive, dedupe=True)
     everything, stats = read_archive(archive, dedupe=False)
     assert len(entries(parse_cache)) == 1
@@ -403,21 +447,8 @@ def test_the_tool_leaves_other_cache_files_alone(archive, parse_cache):
 def test_an_empty_archive_gets_a_header_only_entry(tmp_path, parse_cache):
     path = write_archive(tmp_path / "empty.jsonl", [])
     assert read_archive(path) == ([], tweets.ParseStats())
+    assert entries(parse_cache) == []
+    assert read_archive(path) == ([], tweets.ParseStats())
     [entry] = entries(parse_cache)
     assert entry.read_bytes() == b"[0,0]\n"
     assert read_archive(path, dedupe=True) == ([], tweets.ParseStats())
-
-
-def test_offsets_at_the_ends_of_the_datetime_range(tmp_path, parse_cache, cold, capsys):
-    # a non-UTC offset that stays in range, and one that leaves it
-    lines = [
-        record_line(id=1, created_at="Mon Jan 01 01:00:00 +0100 0001"),
-        record_line(id=2, created_at="Mon Jan 01 00:59:59 +0100 0001"),
-        record_line(id=3, created_at="Fri Dec 31 23:59:59 -0130 9999"),
-        record_line(id=4, created_at="2015-03-19T10:05:00+05:45"),
-        json.dumps(make_record(id=5, text="-0.0", geo=(-0.0, -0.0))),
-    ]
-    path = write_archive(tmp_path / "edges.jsonl", lines)
-    expected = cold(path)
-    read_archive(path)
-    assert results(path, capsys) == expected

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from conftest import (
     gexf_problems,
     make_record,
+    make_tweet,
     random_corpus,
     record_line,
     union_find_components,
@@ -32,6 +33,7 @@ from conftest import (
 from eventpulse import cli
 from eventpulse import tweets as tweets_module
 from eventpulse.analytics import (
+    _name_order,
     activity_counts,
     extract_coordinates,
     histogram,
@@ -70,7 +72,6 @@ from eventpulse.tweets import (
     ParseStats,
     RetweetRef,
     Tweet,
-    _name_order,
     _parse_timestamp,
     parse_tweet,
     read_archive,
@@ -150,6 +151,7 @@ def test_ranks_are_sequential_and_scores_sorted(tweets):
 
 @settings(max_examples=40, deadline=None)
 @given(tweets=corpora)
+@example(tweets=[make_tweet(i, author=name) for i, name in enumerate("aaabbcc", start=1)])
 def test_counters_merge_across_shards(tweets):
     half = len(tweets) // 2
     assert (
@@ -195,36 +197,6 @@ def record_for(tweet) -> str:
 def test_serialized_corpus_parses_back_identically(tweets):
     for tweet in tweets:
         assert parse_tweet(record_for(tweet)) == tweet
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 10**9),
-    flags=st.lists(st.sampled_from(["ok", "junk", "dupe"]), max_size=60),
-)
-def test_read_archive_accounting(seed, flags):
-    rng = random.Random(seed)
-    lines = []
-    used_ids = []
-    for flag in flags:
-        if flag == "junk":
-            lines.append(rng.choice(["{oops", "", "[1,2]", '{"id": 1}']))
-        elif flag == "dupe" and used_ids:
-            lines.append(record_line(id=rng.choice(used_ids)))
-        else:
-            new_id = len(used_ids) + 1
-            used_ids.append(new_id)
-            lines.append(record_line(id=new_id))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_archive(Path(tmp) / "a.jsonl", lines)
-        tweets, stats = read_archive(path, dedupe=True)
-    assert stats.total_lines == len(lines)
-    assert (
-        stats.total_lines
-        == stats.parsed + stats.skipped_malformed + stats.duplicates_dropped
-    )
-    assert len(tweets) == stats.parsed
-    assert len({t.id for t in tweets}) == len(tweets)
 
 
 # --- record rules ------------------------------------------------------------
@@ -549,6 +521,9 @@ ARCHIVE_LINES = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(lines=st.lists(st.tuples(ARCHIVE_LINES, st.sampled_from([b"\n", b"\r\n"])), max_size=25))
+@example(lines=[(line.encode(), b"\n") for line in [
+    record_line(id=1), "{oops", "", "[1,2]", '{"id": 1}', record_line(id=2), record_line(id=1),
+]])
 def test_read_archive_is_the_per_line_fold(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.jsonl"
@@ -657,6 +632,14 @@ def shown(read):
     lines=st.lists(st.tuples(CACHE_LINES, st.sampled_from([b"\n", b"\r\n"])), max_size=12),
     last_end=st.sampled_from([b"", b"\n"]),
 )
+# a non-UTC offset that stays in range, and one that leaves it
+@example(lines=[(line.encode(), b"\n") for line in [
+    record_line(id=1, created_at="Mon Jan 01 01:00:00 +0100 0001"),
+    record_line(id=2, created_at="Mon Jan 01 00:59:59 +0100 0001"),
+    record_line(id=3, created_at="Fri Dec 31 23:59:59 -0130 9999"),
+    record_line(id=4, created_at="2015-03-19T10:05:00+05:45"),
+    json.dumps(make_record(id=5, text="-0.0", geo=(-0.0, -0.0))),
+]], last_end=b"\n")
 def test_cold_warm_and_fresh_interpreter_reads_agree(lines, last_end):
     cache = Path(os.environ["XDG_CACHE_HOME"]) / "eventpulse"
     with tempfile.TemporaryDirectory() as tmp:
@@ -666,7 +649,8 @@ def test_cold_warm_and_fresh_interpreter_reads_agree(lines, last_end):
         cold = []
         for dedupe in (False, True):
             shutil.rmtree(cache, ignore_errors=True)
-            cold.append(shown(read_archive(path, dedupe=dedupe)))
+            cold.append(shown(read_archive(path, dedupe=dedupe)))  # leaves a marker
+            assert shown(read_archive(path, dedupe=dedupe)) == cold[-1]  # writes the entry
         assert len(list(cache.glob("*.jsonl"))) == 1
         refuse = AssertionError("a record was parsed: the read missed the cache")
         with mock.patch.object(tweets_module, "_decode_record", side_effect=refuse), \
@@ -773,8 +757,20 @@ def outputs_parse(argv: list[str], printed: str, directory: Path) -> bool:
     return True
 
 
+def march_19(hour: int, minute: int) -> datetime:
+    return datetime(2015, 3, 19, hour, minute, tzinfo=timezone.utc)
+
+
 @settings(max_examples=25, deadline=None)
 @given(lines=unicode_archives())
+@example(lines=[  # hashtags and a GeoJSON point, which the drawn archives lack
+    record_line(id=1, screen_name="ane", created_at=march_19(10, 5), text="bat #gora"),
+    record_line(id=2, screen_name="ane", created_at=march_19(10, 59), text="bi"),
+    record_line(id=3, screen_name="mikel", created_at=march_19(11, 0), text="RT @ane: bat #gora",
+                retweet=(1, "ane")),
+    record_line(id=4, screen_name="jon", created_at=march_19(11, 30), text="erantzuna",
+                reply_to="ane", coordinates=(-2.67, 43.26)),
+])
 def test_every_command_succeeds_whole_or_fails_whole_cold_and_warm(lines):
     cache = Path(os.environ["XDG_CACHE_HOME"]) / "eventpulse"
     with tempfile.TemporaryDirectory() as tmp:
@@ -786,11 +782,12 @@ def test_every_command_succeeds_whole_or_fails_whole_cold_and_warm(lines):
             for encoding in ("utf-8", "ascii"):
                 shutil.rmtree(cache, ignore_errors=True)
                 runs = []
-                for _cold_then_warm in range(2):
+                # the first sighting leaves a marker, the second writes the entry, the third hits
+                for sighting in range(3):
                     restore(directory, before)
                     code, printed, errors = run_with_stdout(argv, encoding)
                     runs.append((code, printed, errors, snapshot(directory)))
-                    assert list(cache.glob("*.jsonl")), "the read wrote no entry"
+                    assert bool(list(cache.glob("*.jsonl"))) == (sighting > 0), sighting
                     if code == 0:
                         assert errors == ""
                         assert outputs_parse(argv, printed.decode(encoding), directory), argv
@@ -799,7 +796,7 @@ def test_every_command_succeeds_whole_or_fails_whole_cold_and_warm(lines):
                         [line] = errors.splitlines()
                         assert line.startswith("error: ")
                         assert snapshot(directory) == before
-                assert runs[0] == runs[1], (argv, encoding)
+                assert runs[0] == runs[1] == runs[2], (argv, encoding)
 
 
 # --- timestamps --------------------------------------------------------------
@@ -1200,6 +1197,7 @@ def test_collection_counter_invariants(seed, rewind, cuts):
     assert stats.received == (
         stats.malformed + stats.unmatched + stats.duplicate + stats.written
     )
+    assert stats.matched == stats.duplicate + stats.written
     assert stats.reconnects == len(clock.waits)
     assert len(written_lines) == stats.written
     ids = [parse_tweet(line).id for line in written_lines]
@@ -1222,6 +1220,7 @@ def test_collection_counter_invariants(seed, rewind, cuts):
     assert stats.received == (
         stats.malformed + stats.unmatched + stats.duplicate + stats.written
     )
+    assert stats.matched == stats.duplicate + stats.written
     assert {parse_tweet(line).id for line in written_lines} == matching_ids
     assert len(written_lines) == stats.written == len(matching_ids)
 
