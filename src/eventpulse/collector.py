@@ -101,9 +101,11 @@ class CollectionStats:
     """Counters for one run.
 
     An empty or whitespace-only line is a keep-alive and never received.
-    Every received line lands in exactly one of four counters, so
-    ``received = malformed + unmatched + duplicate + written`` and
-    ``matched = duplicate + written`` always hold. A line is matched on
+    Every received line lands in exactly one of four counters, and
+    ``received`` (``malformed + unmatched + duplicate + written``) and
+    ``matched`` (``duplicate + written``) are worked out from them, so
+    both identities hold at every moment, even after a failed write ends
+    the run. A line counts once its outcome is known. A line is matched on
     its decoded text and hashtags before it is validated, so
     ``malformed`` counts lines that are not a JSON object in UTF-8 and
     matching lines that fail validation; a line that does not match is
@@ -112,8 +114,6 @@ class CollectionStats:
     already written.
     """
 
-    received: int = 0
-    matched: int = 0
     written: int = 0
     malformed: int = 0
     unmatched: int = 0
@@ -122,6 +122,14 @@ class CollectionStats:
     rate_limit_waits: int = 0
     started_at: datetime | None = None
     ended_at: datetime | None = None
+
+    @property
+    def received(self) -> int:
+        return self.malformed + self.unmatched + self.duplicate + self.written
+
+    @property
+    def matched(self) -> int:
+        return self.duplicate + self.written
 
 
 def matches_track(tweet: Tweet, track_terms: Sequence[str]) -> bool:
@@ -520,7 +528,6 @@ class _LineFilter:
         if not raw.strip():
             return  # a keep-alive, not a record
         stats = self._stats
-        stats.received += 1
         try:
             record = _decode_record(raw)
         except ParseError:
@@ -535,7 +542,6 @@ class _LineFilter:
         except ParseError:
             stats.malformed += 1
             return
-        stats.matched += 1
         if tweet.id in self._seen:
             stats.duplicate += 1
             return  # streams re-deliver after reconnects

@@ -16,9 +16,12 @@ first read leaves a marker ``<digest>.seen`` under
 digest being the sha256 of the archive bytes, this file's bytes and
 ``sys.version``. The second writes the entry ``<digest>.jsonl``, from
 which later reads rebuild the same result without decoding a record, so
-a day file still being written never gets one. The 16 most recently used
-entries and, apart, the 16 newest markers are kept, and an entry that
-cannot be read or written is parsed around.
+a day file still being written never gets one. An entry is a header line
+``[total_lines,malformed]``, then the valid records as rows, a batch of
+rows to a line, each line one array the stdlib JSON codec writes and
+reads. The 16 most recently used entries and, apart, the 16 newest
+markers are kept, and an entry that cannot be read or written is parsed
+around.
 """
 
 from __future__ import annotations
@@ -480,9 +483,7 @@ def _parse(handle: BinaryIO, digest) -> tuple[int, int, list[Tweet]]:
         if digest is not None:
             digest.update(raw)
         try:
-            record = _decode_record(raw.rstrip(b"\r\n"))
-            text, hashtags = _text_and_hashtags(record)
-            valid.append(_build_tweet(record, text, hashtags))
+            valid.append(parse_tweet(raw.rstrip(b"\r\n")))
         except ParseError:
             malformed += 1
     return total_lines, malformed, valid
@@ -507,26 +508,29 @@ def _kept(tweets: list[Tweet], dedupe: bool) -> tuple[list[Tweet], int]:
 # --- parse cache ---------------------------------------------------------------
 #
 # An entry is ``<sha256>.jsonl``: a header line ``[total_lines,malformed]``,
-# then one row per valid record in file order, duplicates included:
-# ``[id,utc_seconds,author,text,[hashtag,...],retweet_of,reply_to,coords,
-# retweet_count]``, where retweet_of is ``[original_id,original_author]``,
-# coords ``[latitude,longitude]`` and each of the last four may be null.
-# Rows are compact ASCII-only JSON, so a lone surrogate is kept as its
-# escape. Entries are trusted like the user's own files: a row is checked
-# for shape, not held to the reader's rules again. A marker,
-# ``<sha256>.seen``, is empty: it only says that those bytes were read once.
+# then one row per valid record in file order, duplicates included, with
+# up to _WRITE_BATCH_ROWS rows to a line, each line one JSON array of rows.
+# A row is ``[id,utc_seconds,author,text,[hashtag,...],retweet_of,reply_to,
+# coords,retweet_count]``, where retweet_of is ``[original_id,
+# original_author]``, coords ``[latitude,longitude]`` and each of the last
+# four may be null. The stdlib encoder writes each line as compact
+# ASCII-only JSON, so a lone surrogate is kept as its escape, and one
+# ``json.loads`` reads it back. Entries are trusted like the user's own
+# files: a row is checked for shape, not held to the reader's rules again.
+# A marker, ``<sha256>.seen``, is empty: it only says that those bytes were
+# read once.
 
 _CACHE_ENTRIES = 16  # entries kept, and markers kept apart from them
 _STALE_TEMP_S = 3600  # a temp file this old was left by a writer that died
 _HASH_CHUNK = 1 << 20
-_WRITE_BATCH_ROWS = 1024
-_LOAD_BATCH_BYTES = 1 << 16  # the lines of about 400 rows go to one json.loads
+# rows to an entry line, so to one encode and one json.loads; of the sizes
+# tried (128 to 1,024), 400 alone left the peak RSS of warm reads as it was
+_WRITE_BATCH_ROWS = 400
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
 _NULL = type(None)
-# a str as a JSON string with every non-ASCII character escaped, as
-# json.dumps gives it; the C function, not JSONEncoder.encode around it
-_quote = json.encoder.encode_basestring_ascii
+# rows hold no cycles, so the encoder need not look for them
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 # each field's slot setter, in field order: it fills a Tweet without the
 # frozen __setattr__, as object.__setattr__ does in _build_tweet
 _FIELD_SETTERS = tuple(getattr(Tweet, field.name).__set__ for field in fields(Tweet))
@@ -578,7 +582,7 @@ def _load_entry(entry: Path) -> tuple[int, int, list[Tweet]] | None:
         with open(entry, "rb") as handle:
             total_lines, malformed = json.loads(handle.readline())
             _check_columns(((total_lines, malformed), int))
-            valid = list(_entry_tweets(handle))
+            valid = [tweet for line in handle for tweet in _rows_tweets(json.loads(line))]
     except (OSError, ValueError, TypeError, OverflowError, RecursionError):
         return None  # absent, torn or of the wrong shape
     if len(valid) != total_lines - malformed:
@@ -588,20 +592,14 @@ def _load_entry(entry: Path) -> tuple[int, int, list[Tweet]] | None:
     return total_lines, malformed, valid
 
 
-def _entry_tweets(handle: BinaryIO):
-    """The Tweet of each row left in ``handle``, a batch of lines to one ``json.loads``."""
-    while lines := handle.readlines(_LOAD_BATCH_BYTES):
-        yield from _rows_tweets(json.loads(b"[" + b",".join(lines) + b"]"))
-
-
 def _rows_tweets(rows: list) -> list[Tweet]:
-    """The Tweets of a batch of entry rows, as ``_row`` wrote them.
+    """The Tweets of one entry line's rows, as ``_row`` gave them.
 
     The work goes a field at a time over the whole batch, in C loops
     (``map``, ``zip``, ``set``), not a row at a time: this is the warm
     read's cost. Raises ValueError or TypeError if a row has the wrong
     shape: not nine fields, or a field not of the JSON type ``_row``
-    writes. Like ``_build_tweet``, it makes each Tweet without
+    gives. Like ``_build_tweet``, it makes each Tweet without
     ``__post_init__``.
     """
     ids, seconds, authors, texts, hashtags, retweets, replies, points, counts = zip(
@@ -643,20 +641,11 @@ def _check_columns(*columns: tuple) -> None:
             raise ValueError("cache entry of the wrong shape")
 
 
-def _row(tweet: Tweet) -> str:
-    """The entry line of a parsed Tweet; ``_rows_tweets`` turns it back into an equal one."""
-    retweet_of, reply_to, coords, count = (
-        tweet.retweet_of, tweet.reply_to, tweet.coords, tweet.retweet_count
-    )
-    # formatted by hand: a JSONEncoder.encode call per row took twice as
-    # long, and the first read of new bytes pays for writing every row
+def _row(tweet: Tweet) -> tuple:
+    """The entry row of a parsed Tweet; ``_rows_tweets`` turns it back into an equal one."""
     return (
-        f"[{tweet.id},{(tweet.created_at - _EPOCH) // _SECOND},{_quote(tweet.author)},"
-        f"{_quote(tweet.text)},[{','.join(map(_quote, tweet.hashtags))}],"
-        f"{'null' if retweet_of is None else f'[{retweet_of[0]},{_quote(retweet_of[1])}]'},"
-        f"{'null' if reply_to is None else _quote(reply_to)},"
-        f"{'null' if coords is None else f'[{coords[0]!r},{coords[1]!r}]'},"
-        f"{'null' if count is None else count}]\n"
+        tweet.id, (tweet.created_at - _EPOCH) // _SECOND, tweet.author, tweet.text,
+        tweet.hashtags, tweet.retweet_of, tweet.reply_to, tweet.coords, tweet.retweet_count,
     )
 
 
@@ -680,7 +669,8 @@ def _store_entry(entry: Path, total_lines: int, malformed: int, tweets: list[Twe
                 with open(fd, "w", encoding="ascii", newline="\n") as out:
                     out.write(f"[{total_lines},{malformed}]\n")
                     for start in range(0, len(tweets), _WRITE_BATCH_ROWS):
-                        out.write("".join(map(_row, tweets[start : start + _WRITE_BATCH_ROWS])))
+                        rows = list(map(_row, tweets[start : start + _WRITE_BATCH_ROWS]))
+                        out.write(_encode(rows) + "\n")
                 os.replace(temp, entry)  # readers see a whole entry or none
             except BaseException:
                 with suppress(OSError):

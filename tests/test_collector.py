@@ -307,6 +307,18 @@ class TestCollectStream:
         with pytest.raises(OSError):
             collect_stream(job, ReplaySource([]), clock=ManualClock())
 
+    def test_a_failed_write_ends_the_run_with_the_identities_holding(self, tmp_path):
+        (tmp_path / "proba" / f"{MANUAL_CLOCK_DAY}.jsonl").mkdir(parents=True)
+        stats = CollectionStats()
+        with pytest.raises(OSError):
+            collect_stream(
+                stream_job(tmp_path), ReplaySource([matching_line(1)]),
+                clock=ManualClock(), stats=stats,
+            )
+        assert stats.written == 0
+        assert stats.received == stats.malformed + stats.unmatched + stats.duplicate + stats.written
+        assert stats.matched == stats.duplicate + stats.written
+
     def test_wrong_mode_rejected(self, tmp_path):
         job = CollectionJob("search-recent", "proba", ("a",), tmp_path)
         with pytest.raises(ValueError):

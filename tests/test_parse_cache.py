@@ -110,14 +110,15 @@ def test_entry_layout(archive, parse_cache):
     [entry] = entries(parse_cache)
     data = entry.read_bytes()
     assert data.isascii() and data.endswith(b"\n")
-    header, *rows = data.decode().splitlines()
+    header, batch = data.decode().splitlines()  # the six rows fit in one batch line
     assert json.loads(header) == [9, 3]
     assert stats.total_lines == 9 and stats.skipped_malformed == 3
+    rows = json.loads(batch)
     assert len(rows) == 6 == len(tweets_)  # every valid record, the duplicate too
-    assert json.loads(rows[1]) == [
+    assert rows[1] == [
         2, 1426788000, "mikel", "RT @ane: bat", [], [1, "ane"], "ane", [43.26, -0.0], 7,
     ]
-    assert "\\ud800" in rows[2] and "\\u0001" in rows[2]
+    assert '"un\\ud800ai","kontrol\\u0001 #Gora"' in batch
 
 
 def test_entry_name_covers_the_archive_the_parser_and_python(archive, tmp_path, parse_cache):
@@ -220,11 +221,21 @@ def test_truncated_entry(archive, parse_cache, cold, capsys, keep):
     assert entry.read_bytes() == whole  # the fallback parse wrote it again
 
 
+def in_batch(bad_rows):
+    """Change an entry's lines: the batch's row 1 (every field set) becomes ``bad_rows(row)``."""
+    def change(lines: list) -> list:
+        header, batch = lines
+        rows = json.loads(batch)
+        rows[1:2] = bad_rows(rows[1])
+        return [header, json.dumps(rows).encode() + b"\n"]
+    return change
+
+
 @pytest.mark.parametrize(
     "change",
     [
-        lambda lines: lines[:-1],  # a row short
-        lambda lines: lines + lines[-1:],  # a row over
+        in_batch(lambda row: []),  # a row short
+        in_batch(lambda row: [row, row]),  # a row over
         lambda lines: [b"[9,2]\n", *lines[1:]],  # a header that counts one more valid line
         lambda lines: [b"[9,-1]\n", *lines[1:]],
         lambda lines: [b"[9]\n", *lines[1:]],
@@ -244,25 +255,26 @@ def test_entry_with_a_wrong_header_or_row_count(archive, parse_cache, cold, caps
 
 
 def altered(index: int, value):
-    """Row 1 (the record with every field set) with field ``index`` set to ``value``."""
-    def change(row: list) -> bytes:
+    """An entry's lines with field ``index`` of row 1 (every field set) set to ``value``."""
+    def with_value(row: list) -> list:
         row[index] = value
-        return json.dumps(row).encode()
-    return change
+        return [row]
+    return in_batch(with_value)
 
 
 @pytest.mark.parametrize(
-    "bad_row",
+    "change",
     [
-        lambda row: b"[1,2]",
-        lambda row: b'{"id":2}',
-        lambda row: json.dumps({str(i): v for i, v in enumerate(row)}).encode(),
-        lambda row: b'"' + b"x" * 9 + b'"',
-        lambda row: b"",
-        lambda row: b"[" * 100_000,
-        lambda row: b"\xff" + json.dumps(row).encode(),
-        lambda row: json.dumps(row).encode() + b"," + json.dumps(row).encode(),  # a row over
-        lambda row: json.dumps(row + [None]).encode(),
+        in_batch(lambda row: [[1, 2]]),
+        in_batch(lambda row: [{"id": 2}]),
+        in_batch(lambda row: [{str(i): v for i, v in enumerate(row)}]),
+        in_batch(lambda row: ["x" * 9]),
+        # bytes that are no batch of rows, in place of the whole batch line
+        lambda lines: [lines[0], b""],
+        lambda lines: [lines[0], b"[" * 100_000],
+        lambda lines: [lines[0], b"\xff" + lines[1]],
+        in_batch(lambda row: [row, row]),  # a row over
+        in_batch(lambda row: [row + [None]]),
         altered(0, "2"),
         altered(1, 1426788000.5),
         altered(1, 10**12),  # past year 9999
@@ -280,13 +292,11 @@ def altered(index: int, value):
         altered(8, "7"),
     ],
 )
-def test_row_of_the_wrong_shape(archive, parse_cache, cold, capsys, bad_row):
-    def change(data: bytes) -> bytes:
-        lines = data.split(b"\n")
-        lines[2] = bad_row(json.loads(lines[2]))
-        return b"\n".join(lines)
-
-    entry, whole = corrupt(parse_cache, archive, change)
+def test_row_of_the_wrong_shape(archive, parse_cache, cold, capsys, change):
+    entry, whole = corrupt(
+        parse_cache, archive,
+        lambda data: b"".join(change(data.splitlines(keepends=True))),
+    )
     assert results(archive, capsys) == cold(archive)
     assert entry.read_bytes() == whole
 
@@ -434,6 +444,30 @@ def test_one_entry_serves_both_dedupe_values(archive, parse_cache, monkeypatch):
     assert (kept_stats.parsed, kept_stats.duplicates_dropped) == (5, 1)
     assert (stats.parsed, stats.duplicates_dropped) == (6, 0)
     assert [t.id for t in everything].count(1) == 2 and [t.id for t in kept].count(1) == 1
+
+
+def test_an_entry_of_several_batch_lines(tmp_path, parse_cache, monkeypatch):
+    size = tweets._WRITE_BATCH_ROWS
+    ids = list(range(1, 2 * size + 2))  # one valid record more than two batch lines hold
+    ids[size] = ids[size - 1]  # a duplicate across the first batch boundary
+    ids[-1] = ids[5]  # and one alone in the last batch line
+    lines = []
+    for row, tweet_id in enumerate(ids):
+        lines.append(record_line(id=tweet_id, screen_name=f"user{row % 7}", text=f"#gora {row}"))
+        if row % 97 == 0:
+            lines.append("{oops")
+    path = write_archive(tmp_path / "big.jsonl", lines)
+    cold = [read_archive(path, dedupe=dedupe) for dedupe in (False, True)]  # the second writes
+    [entry] = entries(parse_cache)
+    assert [len(json.loads(line)) for line in entry.read_bytes().splitlines()[1:]] == [
+        size, size, 1,
+    ]
+    assert (cold[1][1].skipped_malformed, cold[1][1].duplicates_dropped) == (9, 2)
+    refuse_to_parse(monkeypatch)
+    warm = [read_archive(path, dedupe=dedupe) for dedupe in (False, True)]
+    assert [(repr(got), stats) for got, stats in warm] == [
+        (repr(got), stats) for got, stats in cold
+    ]
 
 
 def test_the_tool_leaves_other_cache_files_alone(archive, parse_cache):
