@@ -35,9 +35,8 @@ import stat
 import sys
 import tempfile
 import time
-from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
 from pathlib import Path
@@ -97,18 +96,34 @@ class RetweetRef(NamedTuple):
     original_author: str
 
 
-@dataclass(frozen=True, slots=True)
-class Tweet:
+class _Fields(NamedTuple):
+    """The fields of a Tweet and their defaults, unchecked."""
+
+    id: int
+    created_at: datetime
+    author: str
+    text: str = ""
+    hashtags: tuple[str, ...] = ()
+    retweet_of: RetweetRef | None = None
+    reply_to: str | None = None
+    coords: tuple[float, float] | None = None
+    retweet_count: int | None = None
+
+
+class Tweet(_Fields):
     """One post, reduced to the fields the analytics need.
 
     A Tweet built by hand is held to the archive reader's rules: each
     field must already be in the form the reader gives it, and
-    ``__post_init__`` asks the reader's own rule whether it is. Any
-    other value raises ParseError (a ValueError) naming the field.
-    A list of hashtags is turned into a tuple, and integer coordinates
-    into a tuple of floats. The archive reader builds Tweets without
-    ``__post_init__``, from fields its rules have just given (see
-    ``_build_tweet``).
+    ``__new__`` asks the reader's own rule whether it is. Any other
+    value raises ParseError (a ValueError) naming the field. A list of
+    hashtags is turned into a tuple, and integer coordinates into a
+    tuple of floats. ``_make`` and ``_replace`` go through the same
+    checks. The archive reader and its cache build Tweets from fields
+    the reader's rules have just given, without the checks (see
+    ``_build_tweet``). A Tweet is a tuple of its fields: it iterates
+    them, ``Tweet._fields`` names them, and it equals a tuple of the
+    same values.
 
     Attributes:
         id: Unique post identifier, 0 < id < 2**64.
@@ -124,53 +139,56 @@ class Tweet:
             for retweets, the post's own otherwise); None when absent.
     """
 
-    id: int
-    created_at: datetime
-    author: str
-    text: str = ""
-    hashtags: tuple[str, ...] = ()
-    retweet_of: RetweetRef | None = None
-    reply_to: str | None = None
-    coords: tuple[float, float] | None = None
-    retweet_count: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _as_read("id", self.id, _parse_id(self.id, "id"))
-        if not (isinstance(self.created_at, datetime) and _utc_seconds(self.created_at)):
+    def __new__(cls, *args, **kwargs):
+        given = _Fields(*args, **kwargs)
+        _as_read("id", given.id, _parse_id(given.id, "id"))
+        if not (isinstance(given.created_at, datetime) and _utc_seconds(given.created_at)):
             raise ParseError(
-                "created_at", f"expected a UTC datetime in whole seconds, got {self.created_at!r}"
+                "created_at", f"expected a UTC datetime in whole seconds, got {given.created_at!r}"
             )
-        _as_read("author", self.author, _screen_name(self.author))
-        if self.retweet_of is not None:
-            if not isinstance(self.retweet_of, RetweetRef):
-                raise ParseError("retweet_of", f"expected a RetweetRef, got {self.retweet_of!r}")
-            original_id, original_author = self.retweet_of
+        _as_read("author", given.author, _screen_name(given.author))
+        if given.retweet_of is not None:
+            if not isinstance(given.retweet_of, RetweetRef):
+                raise ParseError("retweet_of", f"expected a RetweetRef, got {given.retweet_of!r}")
+            original_id, original_author = given.retweet_of
             field_name = "retweet_of.original_tweet_id"
             _as_read(field_name, original_id, _parse_id(original_id, field_name))
-            if original_id == self.id:
+            if original_id == given.id:
                 raise ParseError(field_name, "retweet references itself")
             _as_read("retweet_of.original_author", original_author, _screen_name(original_author))
-        if self.reply_to is not None:
-            _as_read("reply_to", self.reply_to, _screen_name(self.reply_to))
-        if self.retweet_count is not None:
-            _as_read("retweet_count", self.retweet_count, _counter(self.retweet_count))
-        if not isinstance(self.text, str):
-            raise ParseError("text", f"expected a str, got {self.text!r}")
-        tags = self.hashtags
+        if given.reply_to is not None:
+            _as_read("reply_to", given.reply_to, _screen_name(given.reply_to))
+        if given.retweet_count is not None:
+            _as_read("retweet_count", given.retweet_count, _counter(given.retweet_count))
+        if not isinstance(given.text, str):
+            raise ParseError("text", f"expected a str, got {given.text!r}")
+        tags = given.hashtags
         # as _text_and_hashtags gives them: non-empty and already lowercase
         if not (isinstance(tags, (tuple, list)) and all(
             isinstance(tag, str) and tag and tag == tag.lower() for tag in tags
         )):
             raise ParseError("hashtags", f"expected non-empty lowercase str tags, got {tags!r}")
         if type(tags) is not tuple:
-            object.__setattr__(self, "hashtags", tuple(tags))
-        if self.coords is not None:
-            pair = self.coords
+            given = given._replace(hashtags=tuple(tags))
+        if given.coords is not None:
+            pair = given.coords
             point = _lat_lon(*pair) if isinstance(pair, (tuple, list)) and len(pair) == 2 else None
             if point is None:
                 raise ParseError("coords", f"expected (latitude, longitude) on the globe: {pair!r}")
             if not (type(pair) is tuple and type(pair[0]) is float and type(pair[1]) is float):
-                object.__setattr__(self, "coords", point)
+                given = given._replace(coords=point)
+        return tuple.__new__(cls, given)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the stock _make, which _replace calls, would skip __new__'s checks
+        return cls(*iterable)
+
+
+# the reader's and the cache's one constructor: nine values, no checks
+_trusted_tweet = functools.partial(tuple.__new__, Tweet)
 
 
 def _as_read(field_name: str, value: object, read: object) -> None:
@@ -402,9 +420,9 @@ def _build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
     call to its reader; any other value goes through the reader.
 
     This is where a parsed record is validated: the readers give every
-    field in the form ``Tweet.__post_init__`` requires, so the Tweet is
-    made without calling it, and ``Tweet(*fields)`` would accept and
-    equal it.
+    field in the form ``Tweet.__new__`` requires, so the Tweet is made by
+    ``_trusted_tweet``, the reader's and the cache's one constructor, and
+    ``Tweet(*tweet)`` would accept and equal it.
     """
     get = record.get
     tweet_id = _parse_id(get("id"), "id")
@@ -421,19 +439,9 @@ def _build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
         reply_to = _screen_name(reply_to)
     geojson, legacy = get("coordinates"), get("geo")
     coords = None if geojson is None and legacy is None else _parse_coords(geojson, legacy)
-    # no __post_init__: the readers above already hold its invariants
-    tweet = object.__new__(Tweet)
-    set_field = object.__setattr__
-    set_field(tweet, "id", tweet_id)
-    set_field(tweet, "created_at", created_at)
-    set_field(tweet, "author", author)
-    set_field(tweet, "text", text)
-    set_field(tweet, "hashtags", hashtags)
-    set_field(tweet, "retweet_of", retweet_of)
-    set_field(tweet, "reply_to", reply_to)
-    set_field(tweet, "coords", coords)
-    set_field(tweet, "retweet_count", retweet_count)
-    return tweet
+    return _trusted_tweet(
+        (tweet_id, created_at, author, text, hashtags, retweet_of, reply_to, coords, retweet_count)
+    )
 
 
 def parse_tweet(line: str | bytes) -> Tweet:
@@ -531,9 +539,6 @@ _SECOND = timedelta(seconds=1)
 _NULL = type(None)
 # rows hold no cycles, so the encoder need not look for them
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-# each field's slot setter, in field order: it fills a Tweet without the
-# frozen __setattr__, as object.__setattr__ does in _build_tweet
-_FIELD_SETTERS = tuple(getattr(Tweet, field.name).__set__ for field in fields(Tweet))
 
 
 @functools.cache
@@ -599,8 +604,8 @@ def _rows_tweets(rows: list) -> list[Tweet]:
     (``map``, ``zip``, ``set``), not a row at a time: this is the warm
     read's cost. Raises ValueError or TypeError if a row has the wrong
     shape: not nine fields, or a field not of the JSON type ``_row``
-    gives. Like ``_build_tweet``, it makes each Tweet without
-    ``__post_init__``.
+    gives. Like ``_build_tweet``, it makes each Tweet with
+    ``_trusted_tweet``.
     """
     ids, seconds, authors, texts, hashtags, retweets, replies, points, counts = zip(
         *rows, strict=True
@@ -617,7 +622,7 @@ def _rows_tweets(rows: list) -> list[Tweet]:
         (chain.from_iterable(hashtags), str), (original_ids, int), (original_authors, str),
         (latitudes, float), (longitudes, float),
     )
-    values = (
+    return list(map(_trusted_tweet, zip(
         ids,
         map(datetime.fromtimestamp, seconds, repeat(timezone.utc)),
         authors,
@@ -627,11 +632,7 @@ def _rows_tweets(rows: list) -> list[Tweet]:
         replies,
         [None if pair is None else tuple(pair) for pair in points],
         counts,
-    )
-    tweets = list(map(object.__new__, repeat(Tweet, len(rows))))
-    for set_field, column in zip(_FIELD_SETTERS, values):
-        deque(map(set_field, tweets, column), maxlen=0)
-    return tweets
+    )))
 
 
 def _check_columns(*columns: tuple) -> None:
@@ -643,10 +644,8 @@ def _check_columns(*columns: tuple) -> None:
 
 def _row(tweet: Tweet) -> tuple:
     """The entry row of a parsed Tweet; ``_rows_tweets`` turns it back into an equal one."""
-    return (
-        tweet.id, (tweet.created_at - _EPOCH) // _SECOND, tweet.author, tweet.text,
-        tweet.hashtags, tweet.retweet_of, tweet.reply_to, tweet.coords, tweet.retweet_count,
-    )
+    tweet_id, created_at, *rest = tweet
+    return (tweet_id, (created_at - _EPOCH) // _SECOND, *rest)
 
 
 def _store_entry(entry: Path, total_lines: int, malformed: int, tweets: list[Tweet]) -> None:

@@ -2,7 +2,6 @@
 
 import calendar
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -13,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
-from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -30,7 +28,7 @@ from conftest import (
     union_find_components,
     write_archive,
 )
-from eventpulse import cli
+from output_digests import ANALYSIS_COMMANDS, run_with_stdout
 from eventpulse import tweets as tweets_module
 from eventpulse.analytics import (
     _name_order,
@@ -535,16 +533,16 @@ def test_read_archive_is_the_per_line_fold(lines):
 
 
 def rebuilt(tweet: Tweet) -> Tweet:
-    """The same fields through the public constructor, so through __post_init__."""
-    return Tweet(*(getattr(tweet, field.name) for field in dataclasses.fields(Tweet)))
+    """The same fields through the public constructor, so through its checks."""
+    return Tweet(*tweet)
 
 
 @settings(max_examples=300, deadline=None)
 @given(records=st.lists(hostile_records(), min_size=1, max_size=4))
 @example(records=[make_record(id=2, coordinates=(-2, 43), retweet=(1, "@bi", 5), reply_to="@mikel")])
 def test_built_tweets_pass_the_public_constructor(records):
-    # the builder skips __post_init__; each Tweet it returns must be one
-    # that Tweet(*fields) accepts and equals, down to the repr
+    # the builder skips the constructor's checks; each Tweet it returns
+    # must be one that Tweet(*fields) accepts and equals, down to the repr
     lines = [json.dumps(record) for record in records]
     tweets = []
     for line in lines:
@@ -674,20 +672,6 @@ def test_cold_warm_and_fresh_interpreter_reads_agree(lines, last_end):
 # --- every analysis command over names from all of Unicode --------------------
 
 UNICODE_NAMES = st.text(UNICODE_CHARACTERS, min_size=1, max_size=4)
-ANALYSIS_COMMANDS = [
-    ["stats", "{archive}"],
-    ["histogram", "{archive}", "{dir}/h.dat"],
-    ["top-tweets", "-f", "{archive}"],
-    ["top-tweets", "-f", "{archive}", "--format", "csv"],
-    ["top-users", "-f", "{archive}"],
-    ["top-users", "-f", "{archive}", "--format", "csv"],
-    ["top-users", "-f", "{archive}", "--by", "retweets"],
-    ["top-users", "-f", "{archive}", "--by", "retweets", "--format", "csv"],
-    ["coordinates", "{archive}", "{dir}/c.csv"],
-    ["interactions", "{archive}", "{dir}/e.csv", "--communities", "--gexf", "{dir}/g.gexf"],
-    ["interactions", "{archive}", "{dir}/e.csv", "--merge-kinds", "--communities",
-     "--format", "csv"],
-]
 
 
 @st.composite
@@ -719,15 +703,6 @@ def restore(directory: Path, files: dict[str, bytes]) -> None:
             path.unlink()
     for name, data in files.items():
         (directory / name).write_bytes(data)
-
-
-def run_with_stdout(argv: list[str], encoding: str) -> tuple[int, bytes, str]:
-    """``cli.run(argv)`` with stdout in ``encoding``: exit code, stdout bytes, stderr text."""
-    stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding, write_through=True)
-    stderr = io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = cli.run(argv)
-    return code, stdout.buffer.getvalue(), stderr.getvalue()
 
 
 def csv_parses(text: str) -> bool:

@@ -270,6 +270,23 @@ class TestTweetValidation:
             Tweet(**{"id": 1, "created_at": BASE_TIME, "author": "ane", field: value})
         assert caught.value.field.split(".")[0] == field
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda tweet: tweet._replace(author="@x"), "author"),
+            (lambda tweet: Tweet._make([0, *tweet[1:]]), "id"),
+        ],
+        ids=["_replace", "_make"],
+    )
+    def test_tuple_builders_are_held_to_the_same_rules(self, build, field):
+        with pytest.raises(ParseError) as caught:
+            build(make_tweet(1))
+        assert caught.value.field == field
+
+    def test_a_tweet_rebuilds_from_its_fields(self):
+        tweet = make_tweet(2, hashtags=("gora",), retweet_of=(1, "bi"), coords=(43.26, -2.67))
+        assert Tweet(*tweet) == tweet
+
     def test_hashtags_end_up_as_tuple(self):
         tweet = make_tweet(1, hashtags=["a", "b"])  # type: ignore[arg-type]
         assert tweet.hashtags == ("a", "b")
