@@ -5,7 +5,9 @@ archives, bad endpoints, a ``--tz`` past +-840, an unusable output;
 message on stderr), 2 on usage errors, such as an option put before its
 subcommand or a missing ``--endpoint``. One read, one render, one
 commit: ``run`` reads the archive once (that read may write an entry
-to the parse cache; see ``eventpulse.tweets``); an analysis command
+to the parse cache, and a later ``run`` in the same process over the
+same bytes takes the result of the last read without parsing or
+loading it; see ``eventpulse.tweets``); an analysis command
 writes nothing and returns its stdout text and the text of each output
 file; ``run`` encodes all of them before it opens a file, then writes
 the files in order and stdout last. So a file text UTF-8 cannot carry,

@@ -22,6 +22,13 @@ rows to a line, each line one array the stdlib JSON codec writes and
 reads. The 16 most recently used entries and, apart, the 16 newest
 markers are kept, and an entry that cannot be read or written is parsed
 around.
+
+In one process, ``read_archive`` also keeps the result of its last read
+that had an entry path, keyed by that path, so a read of the same bytes
+under the same cache directory neither parses nor loads: it takes the
+held result and leaves the cache directory as a parse or a load would.
+That one slot holds one archive's Tweets until another archive is read
+or the process exits; other processes share only the files.
 """
 
 from __future__ import annotations
@@ -465,18 +472,35 @@ def read_archive(
 
     The bytes of a regular file are parsed at most twice (see the module
     docstring): from the third read of the same bytes on, with either
-    ``dedupe``, the same result is rebuilt from their cache entry.
+    ``dedupe``, the same result is rebuilt from their cache entry. A read
+    whose entry path is that of the last read in this process takes the
+    result that read held, without parsing or loading; the cache files
+    are touched, marked or written as a parse or a load would leave them.
+    The list returned is the caller's own.
     """
+    global _last_read
     with open(path, "rb") as handle:
         entry = _entry_path(handle)
-        parse = _load_entry(entry) if entry is not None else None
-        if parse is None:
-            # the entry is named by the bytes parsed here, so a file that
-            # changed after it was hashed above cannot pass for its old bytes
-            digest = _keyed_digest() if entry is not None else None
-            parse = _parse(handle, digest)
-            if digest is not None:
-                _store_entry(entry.with_name(f"{digest.hexdigest()}.jsonl"), *parse)
+        last_entry, parse = _last_read  # read once: another thread may rebind it
+        if entry is not None and entry == last_entry:
+            # leave the cache files as the load or parse skipped here would
+            if os.path.exists(entry):
+                with suppress(OSError):
+                    os.utime(entry)
+            else:
+                _store_entry(entry, *parse)
+        else:
+            parse = _load_entry(entry) if entry is not None else None
+            if parse is None:
+                # the entry is named by the bytes parsed here, so a file that
+                # changed after it was hashed above cannot pass for its old bytes
+                digest = _keyed_digest() if entry is not None else None
+                parse = _parse(handle, digest)
+                if digest is not None:
+                    entry = entry.with_name(f"{digest.hexdigest()}.jsonl")
+                    _store_entry(entry, *parse)
+            if entry is not None:
+                _last_read = entry, parse
     total_lines, malformed, valid = parse
     tweets, duplicates = _kept(valid, dedupe)
     return tweets, ParseStats(total_lines, len(tweets), malformed, duplicates)
@@ -498,9 +522,9 @@ def _parse(handle: BinaryIO, digest) -> tuple[int, int, list[Tweet]]:
 
 
 def _kept(tweets: list[Tweet], dedupe: bool) -> tuple[list[Tweet], int]:
-    """The valid tweets read_archive returns, in order, and how many duplicates it drops."""
+    """A new list of the valid tweets read_archive returns, in order, and the duplicates dropped."""
     if not dedupe:
-        return tweets, 0
+        return tweets[:], 0  # ``tweets`` may be the one _last_read holds
     kept: list[Tweet] = []
     seen: set[int] = set()
     duplicates = 0
@@ -539,6 +563,9 @@ _SECOND = timedelta(seconds=1)
 _NULL = type(None)
 # rows hold no cycles, so the encoder need not look for them
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+# the entry path of the last read that had one, and that read's ``_parse``
+# result; one slot, so it holds one archive's Tweets, and it is rebound whole
+_last_read: tuple[Path | None, tuple[int, int, list[Tweet]] | None] = (None, None)
 
 
 @functools.cache

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from eventpulse import tweets
 from eventpulse.tweets import RetweetRef, Tweet
 
 BASE_TIME = datetime(2015, 3, 19, 18, 0, 0, tzinfo=timezone.utc)
@@ -343,6 +344,11 @@ def korrika_archive() -> Path | None:
         if candidate and Path(candidate).is_file():
             return Path(candidate)
     return None
+
+
+def forget_last_read() -> None:
+    """Empty ``read_archive``'s in-process slot: the next read goes to the parse cache's files."""
+    tweets._last_read = (None, None)
 
 
 @pytest.fixture(autouse=True)

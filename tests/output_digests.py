@@ -9,11 +9,12 @@ archive lacks, a reply, GeoJSON and legacy coordinates, an ISO-8601
 stamp, a duplicate id and a malformed line.
 
 Each command of ``COMMANDS`` runs three times over a fresh parse cache,
-so its first read leaves a marker, its second writes the entry and its
-third rebuilds the Tweets from it. ``DIGESTS`` holds, for each command,
-the sha256 of its exit code, stdout, stderr and every file it wrote,
-which all three runs must give. A change that alters an output on
-purpose prints the new table with
+with ``read_archive``'s in-process slot emptied before each run, so its
+first read leaves a marker, its second writes the entry and its third
+rebuilds the Tweets from it. A fourth run takes them from the slot.
+``DIGESTS`` holds, for each command, the sha256 of its exit code,
+stdout, stderr and every file it wrote, which all four runs must give.
+A change that alters an output on purpose prints the new table with
 
     PYTHONPATH=src python tests/output_digests.py
 
@@ -33,7 +34,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from eventpulse import cli
+from eventpulse import cli, tweets
 
 ANALYSIS_COMMANDS = [
     ["stats", "{archive}"],
@@ -172,7 +173,7 @@ def run_digest(argv: list[str]) -> str:
 
 
 def read_digests(directory: Path) -> dict[str, list[str]]:
-    """Each command's run digests over a fresh cache, first, second and third, keyed by its shape.
+    """Each command's run digests, keyed by its shape: parse, entry write, entry load, slot.
 
     ``directory`` should be empty. The archive, the outputs and the cache
     go in it, and the commands run in it, so stdout names no temp path.
@@ -187,7 +188,11 @@ def read_digests(directory: Path) -> dict[str, list[str]]:
         for command in COMMANDS:
             shutil.rmtree(cache, ignore_errors=True)
             argv = [arg.format(archive="a.jsonl", dir=".") for arg in command]
-            digests[" ".join(command)] = [run_digest(argv) for _sighting in range(3)]
+            runs = []
+            for _sighting in range(3):
+                tweets._last_read = (None, None)  # the read goes to the cache's files
+                runs.append(run_digest(argv))
+            digests[" ".join(command)] = [*runs, run_digest(argv)]  # from the slot
         return digests
     finally:
         os.chdir(cwd)
@@ -206,7 +211,7 @@ if __name__ == "__main__":
     print("}")
     differ = [
         label for label in {**DIGESTS, **reads}
-        if reads.get(label) != [DIGESTS.get(label)] * 3
+        if reads.get(label) != [DIGESTS.get(label)] * 4
     ]
     for label in differ:
         print(f"differs from DIGESTS or between runs: {label}", file=sys.stderr)

@@ -1,7 +1,9 @@
-"""The parse cache behind read_archive.
+"""The parse cache behind read_archive, and the slot in front of it.
 
 The first read of new bytes leaves a marker, the second writes their
-entry, and a later read rebuilds the result from it. A warm read must
+entry, and a later read rebuilds the result from it. A read of the
+bytes the last read in the process had, under the same cache directory,
+takes that read's result from the slot instead. A warm read must
 give what a cold parse gives, and no fault in the cache
 (no home, an unusable cache directory, a torn or altered entry, a writer
 killed mid-write, an archive changed after its entry was written) may
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_record, record_line, write_archive
+from conftest import forget_last_read, make_record, record_line, write_archive
 from eventpulse import tweets
 from eventpulse.cli import run
 from eventpulse.tweets import read_archive
@@ -57,18 +59,35 @@ def entries(cache: Path, suffix: str = ".jsonl") -> list[Path]:
 
 
 def cached(path: Path) -> None:
-    """Read ``path`` twice: the second sighting of its bytes writes their entry."""
+    """Read ``path`` twice, so the second sighting of its bytes writes their entry.
+
+    The slot is then emptied, so the next read of those bytes loads the entry.
+    """
     read_archive(path)
     read_archive(path)
+    forget_last_read()
 
 
-def refuse_to_parse(monkeypatch) -> None:
-    """From here on, a read that decodes or builds a record fails the test."""
+def refuse_to_parse(monkeypatch, *also: str) -> None:
+    """From here on, a read that decodes or builds a record, or calls one of ``also``, fails."""
     def refuse(*args):
-        raise AssertionError("a record was parsed: the read missed the cache")
+        raise AssertionError("a record was parsed or loaded: the read missed the cache")
 
-    monkeypatch.setattr(tweets, "_decode_record", refuse)
-    monkeypatch.setattr(tweets, "_build_tweet", refuse)
+    for name in ("_decode_record", "_build_tweet", *also):
+        monkeypatch.setattr(tweets, name, refuse)
+
+
+def parses(monkeypatch) -> list:
+    """A list that gets one item for each parse of an archive from here on."""
+    parsed = []
+    parse = tweets._parse
+
+    def counted(*args):
+        parsed.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(tweets, "_parse", counted)
+    return parsed
 
 
 def results(path: Path, capsys) -> tuple:
@@ -163,7 +182,9 @@ def test_no_home(archive, cold, capsys, monkeypatch):
         raise RuntimeError("Could not determine home directory.")
 
     monkeypatch.setattr(Path, "home", classmethod(no_home))
+    parsed = parses(monkeypatch)  # the slot holds these bytes' parse from cold()
     assert results(archive, capsys) == expected
+    assert len(parsed) == 4
 
 
 def test_cache_home_is_a_regular_file(archive, tmp_path, cold, capsys, monkeypatch):
@@ -359,6 +380,7 @@ def test_archive_that_grows_between_its_hash_and_its_parse(archive, parse_cache,
         return entry
 
     monkeypatch.setattr(tweets, "_entry_path", hash_then_append)
+    forget_last_read()  # it holds the result of the original bytes, the ones hashed below
     assert "berria" in repr(read_archive(archive)[0])
     assert len(entries(parse_cache)) == 1
     monkeypatch.setattr(tweets, "_entry_path", hashed)
@@ -366,20 +388,32 @@ def test_archive_that_grows_between_its_hash_and_its_parse(archive, parse_cache,
     assert results(archive, capsys) == cold(archive)
 
 
-def test_archive_rewritten_at_the_same_size_and_mtime(archive, parse_cache, cold, capsys):
-    cached(archive)
+def test_archive_rewritten_at_the_same_size_and_mtime(archive, parse_cache, cold, capsys,
+                                                      monkeypatch):
     before = archive.stat()
     data = archive.read_bytes()
-    archive.write_bytes(data.replace(b'"mikel"', b'"mikal"'))
-    os.utime(archive, ns=(before.st_atime_ns, before.st_mtime_ns))
-    assert archive.stat().st_size == before.st_size
+
+    def rewrite(new: bytes) -> None:
+        archive.write_bytes(new)
+        os.utime(archive, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert archive.stat().st_size == before.st_size
+
+    rewrite(data.replace(b'"mikel"', b'"mikal"'))
     expected = cold(archive)
     assert "mikal" in expected[0][0][0]
+    rewrite(data)
+    cached(archive)
+    read_archive(archive)  # the old bytes have an entry, and the slot holds them
+    rewrite(data.replace(b'"mikel"', b'"mikal"'))
+    parsed = parses(monkeypatch)
     assert results(archive, capsys) == expected
+    assert len(parsed) == 1  # the first read parses the new bytes; the slot serves the rest
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-def test_a_fifo_is_never_cached(archive, tmp_path, parse_cache, cold, capsys):
+def test_a_fifo_is_never_cached(archive, tmp_path, parse_cache, cold, capsys, monkeypatch):
+    expected = cold(archive)  # the slot now holds the bytes the FIFO carries
+    parsed = parses(monkeypatch)
     fifo = tmp_path / "feed"
     os.mkfifo(fifo)
     data = archive.read_bytes()
@@ -398,7 +432,8 @@ def test_a_fifo_is_never_cached(archive, tmp_path, parse_cache, cold, capsys):
     commands = []
     for argv in (["stats", str(fifo)], ["top-users", "-f", str(fifo), "--by", "retweets"]):
         commands.append((fed(lambda: run(argv)), capsys.readouterr().out))
-    assert ([(repr(got), stats) for got, stats in reads], commands) == cold(archive)
+    assert ([(repr(got), stats) for got, stats in reads], commands) == expected
+    assert len(parsed) == 4
     assert entries(parse_cache) == entries(parse_cache, ".seen") == []
 
 
@@ -463,6 +498,7 @@ def test_an_entry_of_several_batch_lines(tmp_path, parse_cache, monkeypatch):
         size, size, 1,
     ]
     assert (cold[1][1].skipped_malformed, cold[1][1].duplicates_dropped) == (9, 2)
+    forget_last_read()  # the warm reads load the entry's three lines
     refuse_to_parse(monkeypatch)
     warm = [read_archive(path, dedupe=dedupe) for dedupe in (False, True)]
     assert [(repr(got), stats) for got, stats in warm] == [
@@ -486,3 +522,58 @@ def test_an_empty_archive_gets_a_header_only_entry(tmp_path, parse_cache):
     [entry] = entries(parse_cache)
     assert entry.read_bytes() == b"[0,0]\n"
     assert read_archive(path, dedupe=True) == ([], tweets.ParseStats())
+
+
+# --- the slot: the last read's result, in this process --------------------------
+
+
+def test_a_repeated_read_takes_the_last_reads_result(archive, parse_cache, cold, capsys,
+                                                     monkeypatch):
+    expected = cold(archive)  # the slot now holds these bytes, under another cache directory
+    parsed = parses(monkeypatch)
+    read_archive(archive)
+    assert len(parsed) == 1  # another cache directory is another key
+    assert (entries(parse_cache), len(entries(parse_cache, ".seen"))) == ([], 1)
+    refuse_to_parse(monkeypatch, "_load_entry")
+    read_archive(archive)  # the second sighting writes the entry, from the slot
+    [entry] = entries(parse_cache)
+    assert entries(parse_cache, ".seen") == []
+    os.utime(entry, (1, 1))
+    assert results(archive, capsys) == expected
+    assert (entries(parse_cache), entries(parse_cache, ".seen")) == ([entry], [])
+    assert entry.stat().st_mtime > 1  # a hit is a use of the entry, as a load is
+
+
+@pytest.mark.parametrize("dedupe", [False, True])
+def test_a_list_changed_by_its_caller_changes_no_later_read(archive, cold, capsys, dedupe):
+    expected = cold(archive)
+    changes = [lambda got: got.append(got[0]), lambda got: got.sort(key=lambda t: -t.id), list.clear]
+    for change in changes:
+        change(read_archive(archive, dedupe=dedupe)[0])
+        assert results(archive, capsys) == expected
+
+
+def test_threads_that_alternate_two_archives(archive, tmp_path, cold):
+    other = write_archive(tmp_path / "other.jsonl", [record_line(id=7, screen_name="kepa"), "{x"])
+    expected = {path: cold(path)[0] for path in (archive, other)}
+    agreed = []
+
+    def alternate(first, second):
+        for _round in range(40):
+            for path in (first, second):
+                reads = [read_archive(path, dedupe=dedupe) for dedupe in (False, True)]
+                agreed.append([(repr(got), stats) for got, stats in reads] == expected[path])
+
+    threads = [threading.Thread(target=alternate, args=pair)
+               for pair in ((archive, other), (other, archive))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert agreed == [True] * 160

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    forget_last_read,
     gexf_problems,
     make_record,
     make_tweet,
@@ -647,9 +648,11 @@ def test_cold_warm_and_fresh_interpreter_reads_agree(lines, last_end):
         cold = []
         for dedupe in (False, True):
             shutil.rmtree(cache, ignore_errors=True)
+            forget_last_read()
             cold.append(shown(read_archive(path, dedupe=dedupe)))  # leaves a marker
             assert shown(read_archive(path, dedupe=dedupe)) == cold[-1]  # writes the entry
         assert len(list(cache.glob("*.jsonl"))) == 1
+        forget_last_read()  # the warm reads load the entry
         refuse = AssertionError("a record was parsed: the read missed the cache")
         with mock.patch.object(tweets_module, "_decode_record", side_effect=refuse), \
                 mock.patch.object(tweets_module, "_build_tweet", side_effect=refuse):
