@@ -177,13 +177,6 @@ def top_users_by_received_retweets(
     return _rank_users(received_retweet_counts(tweets), k)
 
 
-def _strip_repost_prefix(text: str, original_author: str) -> str:
-    prefix = f"RT @{original_author}: "
-    if text.startswith(prefix):
-        return text[len(prefix) :]
-    return text
-
-
 def top_tweets_by_retweets(
     tweets: Sequence[Tweet], k: int, count_source: str = "observed"
 ) -> list[RankedTweet]:
@@ -239,7 +232,7 @@ def top_tweets_by_retweets(
         else:
             carrier = carriers[original_id]
             author = carrier.retweet_of.original_author
-            text = _strip_repost_prefix(carrier.text, author)
+            text = carrier.text.removeprefix(f"RT @{author}: ")
         rows.append(
             RankedTweet(
                 key=original_id,

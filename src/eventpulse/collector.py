@@ -144,9 +144,7 @@ def matches_track(tweet: Tweet, track_terms: Sequence[str]) -> bool:
 
 def _fold_terms(track_terms: Iterable[str]) -> frozenset[str]:
     """Track terms as matched: one leading "#" stripped, case folded, none empty."""
-    folded = (
-        (term[1:] if term.startswith("#") else term).casefold() for term in track_terms
-    )
+    folded = (term.removeprefix("#").casefold() for term in track_terms)
     return frozenset(term for term in folded if term)
 
 

@@ -81,17 +81,6 @@ class WeightedGraph:
             degrees[target] = degrees.get(target, 0) + weight
         return degrees
 
-    def undirected_adjacency(self) -> dict[str, dict[str, int]]:
-        """Neighbor weights with direction and kind collapsed."""
-        adjacency: dict[str, dict[str, int]] = {node: {} for node in self.nodes}
-        for (source, target, _kind), weight in self.edges.items():
-            if source == target:
-                adjacency[source][source] = adjacency[source].get(source, 0) + weight
-            else:
-                adjacency[source][target] = adjacency[source].get(target, 0) + weight
-                adjacency[target][source] = adjacency[target].get(source, 0) + weight
-        return adjacency
-
 
 def extract_interactions(tweets: Iterable[Tweet]) -> list[InteractionEdge]:
     """One edge per retweet and one per reply, in input order.
@@ -162,6 +151,9 @@ def notable_subgraph(graph: WeightedGraph, top_n: int = 50) -> WeightedGraph:
 def label_propagation(graph: WeightedGraph, seed: int = 42) -> dict[str, int]:
     """Deterministic weighted label propagation over the undirected graph.
 
+    Direction and kind are collapsed: a node's weight to a neighbor is
+    the sum over every edge between the two, both directions and both
+    kinds, and a self-loop counts once toward the node's own label.
     Every node starts with its own label; sweeps visit nodes in an
     order reshuffled by a generator seeded with ``seed``, and each node
     adopts the label with the largest summed incident weight, ties
@@ -175,11 +167,12 @@ def label_propagation(graph: WeightedGraph, seed: int = 42) -> dict[str, int]:
     if not nodes:
         return {}
     index = {node: i for i, node in enumerate(nodes)}
-    adjacency = graph.undirected_adjacency()
-    neighbors: list[list[tuple[int, int]]] = [
-        [(index[other], weight) for other, weight in adjacency[node].items()]
-        for node in nodes
-    ]
+    neighbors: list[dict[int, int]] = [{} for _ in nodes]
+    for (source, target, _kind), weight in graph.edges.items():
+        i, j = index[source], index[target]
+        neighbors[i][j] = neighbors[i].get(j, 0) + weight
+        if i != j:
+            neighbors[j][i] = neighbors[j].get(i, 0) + weight
     labels = list(range(len(nodes)))
     order = list(range(len(nodes)))
     rng = random.Random(seed)
@@ -190,7 +183,7 @@ def label_propagation(graph: WeightedGraph, seed: int = 42) -> dict[str, int]:
             if not neighbors[i]:
                 continue
             sums: dict[int, int] = {}
-            for j, weight in neighbors[i]:
+            for j, weight in neighbors[i].items():
                 label = labels[j]
                 sums[label] = sums.get(label, 0) + weight
             best = max(sums.values())

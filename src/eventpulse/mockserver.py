@@ -15,8 +15,8 @@ Wire protocol (newline-delimited, UTF-8):
   page of ``page_size`` lines. The first response line is ``OK <n>``
   followed by the page's n non-blank lines as records,
   ``RATE_LIMIT <retry-after-seconds>``, or ``END`` once the corpus is
-  exhausted; a ``page`` that is not an integer gets ``ERROR <reason>``.
-  Each page is one connection.
+  exhausted; a ``page`` that is negative or not an integer gets
+  ``ERROR <reason>``. Each page is one connection.
 
 Track terms are parsed but deliberately not used for filtering: the
 collector re-checks every line itself, so the replay server stays a
@@ -26,6 +26,8 @@ dumb pipe. Requests are unsigned.
 from __future__ import annotations
 
 import socket
+import socketserver
+import sys
 import threading
 from typing import Iterable
 from urllib.parse import parse_qs, urlsplit
@@ -69,8 +71,7 @@ class MockStreamServer:
 
         self._rate_limited_served: set[int] = set()
         self._stop = threading.Event()
-        self._sock: socket.socket | None = None
-        self._thread: threading.Thread | None = None
+        self._server: _Server | None = None
 
         self.exhausted = threading.Event()
         self.requests: list[str] = []
@@ -78,24 +79,18 @@ class MockStreamServer:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(("127.0.0.1", 0))
-        sock.listen(8)
-        sock.settimeout(0.1)
-        self._sock = sock
-        self._thread = threading.Thread(
-            target=self._serve, name="eventpulse-mockserver", daemon=True
-        )
-        self._thread.start()
-        return sock.getsockname()
+        self._server = _Server(("127.0.0.1", 0), _Handler)
+        self._server.mock = self
+        threading.Thread(
+            target=self._server.serve_forever, args=(0.1,), daemon=True
+        ).start()
+        return self._server.server_address
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        if self._sock is not None:
-            self._sock.close()
+        self._stop.set()  # ends a stream that idles after its last line
+        if self._server is not None:
+            self._server.shutdown()  # returns once the connection in hand ends
+            self._server.server_close()
 
     def __enter__(self) -> tuple[str, int]:
         return self.start()
@@ -105,30 +100,8 @@ class MockStreamServer:
 
     # -- serving ------------------------------------------------------------
 
-    def _serve(self) -> None:
-        assert self._sock is not None
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            try:
-                with conn:
-                    self._handle(conn)
-            except OSError:
-                pass  # client went away; the next accept carries on
-
-    def _handle(self, conn: socket.socket) -> None:
-        conn.settimeout(5.0)
-        request = b""
-        while b"\n" not in request:
-            chunk = conn.recv(4096)
-            if not chunk:
-                return
-            request += chunk
-        line = request.split(b"\n", 1)[0].strip().decode("utf-8", "replace")
+    def _handle(self, conn: socket.socket, request: bytes) -> None:
+        line = request.strip().decode("utf-8", "replace")
         self.requests.append(line)
         parts = line.split()
         target = parts[1] if len(parts) > 1 else "/"
@@ -158,14 +131,14 @@ class MockStreamServer:
                     return
             except socket.timeout:
                 continue
-            except OSError:
-                return
 
     def _serve_search(self, conn: socket.socket, params: dict) -> None:
         try:
             page = int(params.get("page", ["0"])[0])
         except ValueError:
-            conn.sendall(b"ERROR page must be an integer\n")
+            page = -1
+        if page < 0:
+            conn.sendall(b"ERROR page must be a non-negative integer\n")
             return
         if page in self._rate_limit_pages and page not in self._rate_limited_served:
             self._rate_limited_served.add(page)
@@ -179,3 +152,21 @@ class MockStreamServer:
         records = [line for line in chunk if line]  # a blank line is no record
         payload = b"".join(line + b"\n" for line in records)
         conn.sendall(b"OK %d\n" % len(records) + payload)
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    timeout = 5.0
+
+    def handle(self) -> None:
+        request = self.rfile.readline()
+        if request.endswith(b"\n"):  # else the client left mid-line
+            self.server.mock._handle(self.connection, request)
+
+
+class _Server(socketserver.TCPServer):
+    allow_reuse_address = True
+    mock: MockStreamServer
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], OSError):  # OSError: the client left
+            super().handle_error(request, client_address)

@@ -806,11 +806,28 @@ class TestMockServerScript:
 
     def test_bad_search_page_leaves_the_server_serving(self):
         server = MockStreamServer(self.LINES, page_size=3)
+        refusal = b"ERROR page must be a non-negative integer\n"
         with server as (host, port):
-            for target, answer in [
-                ("/search?page=zz", b"ERROR page must be an integer\n"),
-                ("/search?page=1", b"OK 3\nline4\nline5\nline6\n"),
+            for request, answer in [
+                (b"GET /search?page=1", b""),  # the client stops before the newline
+                (b"GET /search?page=zz HTTP/1.0\r\n\r\n", refusal),
+                (b"GET /search?page=-2 HTTP/1.0\r\n\r\n", refusal),
+                (b"GET /search?page=1 HTTP/1.0\r\n\r\n", b"OK 3\nline4\nline5\nline6\n"),
             ]:
                 sock = socket.create_connection((host, port), timeout=5)
-                sock.sendall(f"GET {target} HTTP/1.0\r\n\r\n".encode())
+                sock.sendall(request)
+                sock.shutdown(socket.SHUT_WR)
                 assert _read_to_close(sock) == answer
+        assert [request.split()[1] for request in server.requests] == [
+            "/search?page=zz", "/search?page=-2", "/search?page=1"
+        ]
+
+    def test_stop_returns_at_once_before_start_and_when_repeated(self):
+        stopped = MockStreamServer(self.LINES)
+        with stopped:
+            pass
+        for server in (MockStreamServer(self.LINES), stopped):
+            stopping = threading.Thread(target=server.stop, daemon=True)
+            stopping.start()
+            stopping.join(timeout=5)
+            assert not stopping.is_alive()

@@ -111,12 +111,6 @@ class TestAggregate:
         }
         assert degrees == {"x": 4, "y": 4, "z": 2, "lonely": 0}
 
-    def test_undirected_adjacency_folds_directions(self):
-        graph = aggregate(self.edges())
-        adjacency = graph.undirected_adjacency()
-        assert adjacency["x"]["y"] == 4
-        assert adjacency["y"]["x"] == 4
-
 
 class TestNotableSubgraph:
     def star(self):
@@ -251,6 +245,28 @@ class TestLabelPropagation:
             assert len(left_labels) == 1
             assert len(right_labels) == 1
             assert left_labels != right_labels
+
+    @pytest.mark.parametrize(
+        "bridge",
+        [
+            # m-a weighs 2 + 2 = 4 against m-x's 3
+            {("m", "a", None): 2, ("a", "m", None): 2, ("m", "x", None): 3},
+            # m-a weighs 2 + 2 = 4 against m-x's 3, which either kind alone beats
+            {("m", "a", KIND_RETWEET): 2, ("m", "a", KIND_REPLY): 2, ("m", "x", KIND_RETWEET): 3},
+            {("m", "a", KIND_RETWEET): 2, ("m", "a", KIND_REPLY): 2, ("m", "x", KIND_REPLY): 3},
+            # m's own label weighs 3 against a's 4; counted twice, 6 would keep m alone
+            {("m", "m", None): 3, ("m", "a", None): 4},
+        ],
+        ids=["directions-add-up", "kinds-add-up-1", "kinds-add-up-2", "self-loop-counts-once"],
+    )
+    def test_folded_weights_decide_which_triangle_m_joins(self, bridge):
+        graph = undirected({**triangle("a", "b", "c", 10), **triangle("x", "y", "z", 10)})
+        graph.edges.update(bridge)
+        graph.nodes.add("m")
+        for seed in range(10):
+            labels = label_propagation(graph, seed=seed)
+            joined = sorted(node for node in labels if labels[node] == labels["m"])
+            assert joined == ["a", "b", "c", "m"], f"seed {seed}"
 
     def test_labels_are_contiguous_from_zero(self):
         graph = undirected(
