@@ -50,13 +50,20 @@ ANALYSIS_COMMANDS = [
     ["interactions", "{archive}", "{dir}/e.csv", "--merge-kinds", "--communities",
      "--format", "csv"],
 ]
-# the two interactions shapes above in their other --format, and a graph
-# cut to its top two users
+# the two interactions shapes above in their other --format, a graph cut
+# to its top two users, day buckets west of UTC and hour buckets at the
+# largest offset, the platform's counters as scores, and more rows asked
+# for than the corpus has candidates
 COMMANDS = ANALYSIS_COMMANDS + [
     ["interactions", "{archive}", "{dir}/e.csv", "--communities", "--gexf", "{dir}/g.gexf",
      "--format", "csv"],
     ["interactions", "{archive}", "{dir}/e.csv", "--merge-kinds", "--communities"],
     ["interactions", "{archive}", "{dir}/e.csv", "--top", "2", "--gexf", "{dir}/g.gexf"],
+    ["histogram", "{archive}", "{dir}/h.dat", "--granularity", "day", "--tz", "-330"],
+    ["histogram", "{archive}", "{dir}/h.dat", "--tz", "840"],
+    ["top-tweets", "-f", "{archive}", "--count-source", "embedded"],
+    ["top-tweets", "-f", "{archive}", "--count-source", "embedded", "--format", "csv"],
+    ["top-tweets", "-f", "{archive}", "-k", "50"],
 ]
 
 ODD = 'a,b"c\td\ne'  # a comma, a quote, a tab and a line break
@@ -146,6 +153,16 @@ DIGESTS = {
         "8a5ad3dd547979cdfb43c5ed7851c5fec7d19895d79b36faa0e12d10e2b5346e",
     "interactions {archive} {dir}/e.csv --top 2 --gexf {dir}/g.gexf":
         "298bc6cfde3b69a12d5c547825205d36ebcfd74fd2ad28fd7c7c956b4ebb570b",
+    "histogram {archive} {dir}/h.dat --granularity day --tz -330":
+        "3ab8f59a149485d40d55b137ae6d7126705fc0522f26841ac050b849f7f889ca",
+    "histogram {archive} {dir}/h.dat --tz 840":
+        "37d684fdb20f4675b3ce5a2a7104ea22e5c7920a5efc6f990be6a04453cc6853",
+    "top-tweets -f {archive} --count-source embedded":
+        "78690e98105d6a791ef213bf25326067e845efa180598b6397a8e54fec1a315d",
+    "top-tweets -f {archive} --count-source embedded --format csv":
+        "3f34ac601e9e132f4906c7c17e807e8b9aee38bf0fefcf20c641c7d96dae63fc",
+    "top-tweets -f {archive} -k 50":
+        "89fae867e8e527b4f7c36ce62c6a76575aecdc5a8d8aa4d96bb9dcbb7156f46a",
 }
 
 
