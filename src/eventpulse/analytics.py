@@ -10,11 +10,12 @@ duplicate ids already; ``read_archive(path, dedupe=True)`` does that.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from typing import Iterable, Sequence
+from datetime import datetime, timedelta, timezone
+from typing import Iterable
 
 from .tweets import Tweet
 
@@ -80,11 +81,13 @@ class RankedTweet(RankedEntry):
     text: str = ""
 
 
-def _truncate(stamp: datetime, granularity: str) -> datetime:
-    stamp = stamp.replace(minute=0, second=0, microsecond=0)
-    if granularity == "day":
-        stamp = stamp.replace(hour=0)
-    return stamp
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_BUCKET_SECONDS = {"hour": 3600, "day": 86400}
+# seconds since the epoch of datetime.min and of one second past
+# datetime.max, in UTC; both fall on a day boundary, so a shifted stamp
+# is in range exactly when its bucket is
+_FIRST_SECOND = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1)
+_END_SECOND = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1) + 1
 
 
 def histogram(
@@ -98,32 +101,40 @@ def histogram(
     shifted by ``tz_offset_minutes`` and truncated to the granularity.
     Buckets between the first and last non-empty one are emitted with
     count 0 so plots show gaps instead of skipping them. Raises
-    ValueError naming the tweet whose shifted timestamp falls outside
-    the datetime range.
+    ValueError naming the first tweet whose shifted timestamp falls
+    outside the datetime range.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
     if not -MAX_TZ_OFFSET_MINUTES <= tz_offset_minutes <= MAX_TZ_OFFSET_MINUTES:
         raise ValueError(f"tz offset out of range: {tz_offset_minutes}")
-    offset = timedelta(minutes=tz_offset_minutes)
-    counts: Counter[datetime] = Counter()
-    for tweet in tweets:
-        try:
-            shifted = tweet.created_at + offset
-        except OverflowError:
-            raise ValueError(
-                f"tweet {tweet.id}: {tweet.created_at.isoformat()} shifted by"
-                f" {tz_offset_minutes} minutes falls outside years 1-9999"
-            ) from None
-        counts[_truncate(shifted, granularity)] += 1
-    if not counts:
+    width = _BUCKET_SECONDS[granularity]
+    shift = tz_offset_minutes * 60
+    tweets = list(tweets)
+    # whole buckets since the epoch, floored, so stamps before 1970 count
+    # too; a created_at is UTC in whole seconds, so its float timestamp is exact
+    buckets = [(int(tweet.created_at.timestamp()) + shift) // width for tweet in tweets]
+    if not buckets:
         return []
-    step = timedelta(hours=1) if granularity == "hour" else timedelta(days=1)
-    first = min(counts)
+    first, last = min(buckets), max(buckets)
+    lowest, highest = _FIRST_SECOND // width, _END_SECOND // width
+    if first < lowest or last >= highest:
+        tweet = next(
+            tweet for tweet, bucket in zip(tweets, buckets) if not lowest <= bucket < highest
+        )
+        raise ValueError(
+            f"tweet {tweet.id}: {tweet.created_at.isoformat()} shifted by"
+            f" {tz_offset_minutes} minutes falls outside years 1-9999"
+        )
+    counts = Counter(buckets)
+    step = timedelta(seconds=width)
+    start = _EPOCH + first * step
     # counted rather than stepped past the last bucket, which may be the
     # last one a datetime can hold
-    starts = (first + n * step for n in range((max(counts) - first) // step + 1))
-    return [HistogramBucket(start, counts.get(start, 0)) for start in starts]
+    return [
+        HistogramBucket(start + n * step, counts.get(first + n, 0))
+        for n in range(last - first + 1)
+    ]
 
 
 def activity_counts(tweets: Iterable[Tweet]) -> Counter:
@@ -178,7 +189,7 @@ def top_users_by_received_retweets(
 
 
 def top_tweets_by_retweets(
-    tweets: Sequence[Tweet], k: int, count_source: str = "observed"
+    tweets: Iterable[Tweet], k: int, count_source: str = "observed"
 ) -> list[RankedTweet]:
     """The k most retweeted originals, with author and text for display.
 
@@ -188,7 +199,8 @@ def top_tweets_by_retweets(
     text recovered from a reposting copy. ``"embedded"`` switches the
     score to the maximum cumulative platform counter seen for the
     original. Ties break toward the smaller tweet id, and zero-score
-    originals sort after everything with a positive score.
+    originals sort after everything with a positive score. ``tweets``
+    is read once, so a one-shot iterator ranks as its list would.
     """
     _require_k(k)
     if count_source not in COUNT_SOURCES:
@@ -196,36 +208,33 @@ def top_tweets_by_retweets(
             f"count_source must be one of {COUNT_SOURCES}, got {count_source!r}"
         )
 
+    observed = count_source == "observed"
     by_id: dict[int, Tweet] = {}
     carriers: dict[int, Tweet] = {}  # smallest-id reposting copy per original
+    candidates: set[int] = set()
+    scores: dict[int, int] = {}
     for tweet in tweets:
         by_id.setdefault(tweet.id, tweet)
-        if tweet.retweet_of is not None:
+        if tweet.retweet_of is None:
+            candidates.add(tweet.id)
+            original = tweet.id
+        else:
             original = tweet.retweet_of.original_tweet_id
             best = carriers.get(original)
             if best is None or tweet.id < best.id:
                 carriers[original] = tweet
+            if observed:
+                scores[original] = scores.get(original, 0) + 1
+        if not observed:
+            count = tweet.retweet_count
+            if count is not None and count > scores.get(original, 0):
+                scores[original] = count
+    candidates.update(carriers)
 
-    candidates = set(carriers)
-    candidates.update(t.id for t in tweets if t.retweet_of is None)
-
-    if count_source == "observed":
-        scores = observed_retweet_counts(tweets)
-    else:
-        scores = {}
-        for tweet in tweets:
-            if tweet.retweet_count is None:
-                continue
-            key = (
-                tweet.retweet_of.original_tweet_id
-                if tweet.retweet_of is not None
-                else tweet.id
-            )
-            scores[key] = max(scores.get(key, 0), tweet.retweet_count)
-
-    ordered = sorted(candidates, key=lambda oid: (-scores.get(oid, 0), oid))
+    # the key is unique per candidate, so this is the sorted list's first k
+    ordered = heapq.nsmallest(k, candidates, key=lambda oid: (-scores.get(oid, 0), oid))
     rows = []
-    for position, original_id in enumerate(ordered[:k], start=1):
+    for position, original_id in enumerate(ordered, start=1):
         seen = by_id.get(original_id)
         if seen is not None:
             author, text = seen.author, seen.text

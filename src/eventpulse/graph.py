@@ -5,6 +5,11 @@ on. Aggregation sums parallel edges into integer weights, optionally
 merging the two interaction kinds. Community labels come from a
 deterministic, seeded label propagation, and graphs can be exported as
 an edge CSV or as GEXF 1.2 for graph tools.
+
+An ``InteractionEdge`` is a validating NamedTuple, not a dataclass:
+``dataclasses.fields`` and ``dataclasses.replace`` do not apply to it
+(``_replace`` and ``_fields`` do), and an edge equals the 4-tuple
+``(source, target, kind, tweet_id)``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
+from typing import Iterable, NamedTuple
 
 from .analytics import _csv_text, _name_order
 from .tweets import Tweet
@@ -42,20 +48,43 @@ _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff
 _MAX_SWEEPS = 100  # label propagation stops here if it has not settled
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionEdge:
-    """One observed interaction, traceable to the tweet that caused it."""
+class _EdgeFields(NamedTuple):
+    """The fields of an InteractionEdge, unchecked."""
 
     source: str
     target: str
     kind: str
     tweet_id: int
 
-    def __post_init__(self):
-        if not self.source or not self.target:
+
+class InteractionEdge(_EdgeFields):
+    """One observed interaction, traceable to the tweet that caused it.
+
+    Both endpoints must be non-empty and ``kind`` one of ``KIND_RETWEET``
+    and ``KIND_REPLY``, else ValueError. ``_make`` and ``_replace`` go
+    through the same checks. An edge is a tuple of its four fields and
+    equals a tuple of the same values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        given = _EdgeFields(*args, **kwargs)
+        if not given.source or not given.target:
             raise ValueError("edge endpoints must be non-empty screen names")
-        if self.kind not in (KIND_RETWEET, KIND_REPLY):
-            raise ValueError(f"unknown interaction kind: {self.kind!r}")
+        if given.kind not in (KIND_RETWEET, KIND_REPLY):
+            raise ValueError(f"unknown interaction kind: {given.kind!r}")
+        return tuple.__new__(cls, given)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the stock _make, which _replace calls, would skip __new__'s checks
+        return cls(*iterable)
+
+
+# extract_interactions' constructor, no checks: a Tweet's author, its
+# original's author and its reply target are already non-empty names
+_trusted_edge = partial(tuple.__new__, InteractionEdge)
 
 
 # edge key: (source, target, kind); kind is None once kinds are merged
@@ -91,22 +120,12 @@ def extract_interactions(tweets: Iterable[Tweet]) -> list[InteractionEdge]:
     for tweet in tweets:
         if tweet.retweet_of is not None:
             edges.append(
-                InteractionEdge(
-                    source=tweet.author,
-                    target=tweet.retweet_of.original_author,
-                    kind=KIND_RETWEET,
-                    tweet_id=tweet.id,
+                _trusted_edge(
+                    (tweet.author, tweet.retweet_of.original_author, KIND_RETWEET, tweet.id)
                 )
             )
         if tweet.reply_to is not None:
-            edges.append(
-                InteractionEdge(
-                    source=tweet.author,
-                    target=tweet.reply_to,
-                    kind=KIND_REPLY,
-                    tweet_id=tweet.id,
-                )
-            )
+            edges.append(_trusted_edge((tweet.author, tweet.reply_to, KIND_REPLY, tweet.id)))
     return edges
 
 
@@ -204,13 +223,13 @@ def label_propagation(graph: WeightedGraph, seed: int = 42) -> dict[str, int]:
 
 
 def _sorted_edge_items(graph: WeightedGraph) -> list[tuple[EdgeKey, int]]:
+    """The edges by source, then target in ``_name_order``, then kind."""
+    # (casefold, name) is unique per name, so a name's rank sorts as its key
+    names = graph.nodes.union(*(key[:2] for key in graph.edges))
+    rank = {name: i for i, name in enumerate(sorted(names, key=_name_order))}
     return sorted(
         graph.edges.items(),
-        key=lambda item: (
-            *_name_order(item[0][0]),
-            *_name_order(item[0][1]),
-            item[0][2] or "",
-        ),
+        key=lambda item: (rank[item[0][0]], rank[item[0][1]], item[0][2] or ""),
     )
 
 

@@ -243,6 +243,16 @@ class TestTopTweets:
         with pytest.raises(ValueError):
             top_tweets_by_retweets([], 1, count_source="guessed")
 
+    def test_one_shot_iterator_ranks_as_its_list(self):
+        tweets = [
+            make_tweet(1, author="a"),
+            make_tweet(2, retweet_of=(1, "a")),
+            make_tweet(3, retweet_of=(1, "a")),
+            make_tweet(4, author="b"),
+        ]
+        top = top_tweets_by_retweets(iter(tweets), 10)
+        assert [(t.key, t.score) for t in top] == [(1, 2), (4, 0)]
+
 
 class TestCoordinates:
     def test_extraction_keeps_input_order(self):

@@ -69,6 +69,25 @@ class TestExtraction:
         with pytest.raises(ValueError):
             InteractionEdge(source="a", target="b", kind="quote", tweet_id=1)
 
+    def test_replace_and_make_are_checked(self):
+        edge = InteractionEdge("a", "b", KIND_RETWEET, 1)
+        with pytest.raises(ValueError, match="unknown interaction kind: 'quote'"):
+            edge._replace(kind="quote")
+        with pytest.raises(ValueError, match="non-empty screen names"):
+            InteractionEdge._make(("", "b", KIND_REPLY, 1))
+        assert edge._replace(kind=KIND_REPLY) == ("a", "b", KIND_REPLY, 1)
+
+    def test_extracted_edges_equal_checked_edges(self):
+        tweets = [
+            make_tweet(1, author="ben", retweet_of=(100, "amaia"), reply_to="carla"),
+            make_tweet(2, author="carla", reply_to="carla"),
+        ]
+        edges = extract_interactions(tweets)
+        checked = [InteractionEdge(*edge) for edge in edges]
+        assert edges == checked
+        assert all(type(edge) is InteractionEdge for edge in edges)
+        assert edges[0] == ("ben", "amaia", KIND_RETWEET, 1)
+
 
 class TestAggregate:
     def edges(self):

@@ -32,11 +32,13 @@ from conftest import (
 from output_digests import ANALYSIS_COMMANDS, run_with_stdout
 from eventpulse import tweets as tweets_module
 from eventpulse.analytics import (
+    HistogramBucket,
     _name_order,
     activity_counts,
     extract_coordinates,
     histogram,
     received_retweet_counts,
+    top_tweets_by_retweets,
     top_users_by_activity,
     top_users_by_received_retweets,
 )
@@ -126,6 +128,91 @@ def test_histogram_ignores_input_order(tweets, seed):
     assert histogram(shuffled) == histogram(tweets)
 
 
+def kept_histogram(tweets, granularity, tz_offset_minutes):
+    """``histogram`` as it was written on shifted datetimes, kept as its oracle."""
+    offset = timedelta(minutes=tz_offset_minutes)
+    counts = {}
+    for tweet in tweets:
+        try:
+            shifted = tweet.created_at + offset
+        except OverflowError:
+            raise ValueError(
+                f"tweet {tweet.id}: {tweet.created_at.isoformat()} shifted by"
+                f" {tz_offset_minutes} minutes falls outside years 1-9999"
+            ) from None
+        start = shifted.replace(minute=0, second=0)
+        if granularity == "day":
+            start = start.replace(hour=0)
+        counts[start] = counts.get(start, 0) + 1
+    if not counts:
+        return []
+    step = timedelta(hours=1) if granularity == "hour" else timedelta(days=1)
+    first = min(counts)
+    starts = (first + n * step for n in range((max(counts) - first) // step + 1))
+    return [HistogramBucket(start, counts.get(start, 0)) for start in starts]
+
+
+FIRST_STAMP = datetime(1, 1, 1, tzinfo=timezone.utc)
+LAST_STAMP = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+
+
+@st.composite
+def clustered_stamps(draw):
+    """1-8 UTC stamps in whole seconds, within three days of a base anywhere in years 1-9999.
+
+    The base is often one end of the range, and stamps past an end are
+    held at it, so the first and the last bucket a datetime can hold
+    both come up.
+    """
+    base = draw(st.one_of(
+        st.sampled_from([FIRST_STAMP, LAST_STAMP]),
+        st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(
+            lambda stamp: stamp.replace(microsecond=0, tzinfo=timezone.utc)
+        ),
+    ))
+    stamps = []
+    for seconds in draw(st.lists(st.integers(-3 * 86400, 3 * 86400), min_size=1, max_size=8)):
+        room = (LAST_STAMP - base) if seconds > 0 else (base - FIRST_STAMP)
+        stamps.append(base + timedelta(seconds=seconds) if abs(seconds) <= room.total_seconds()
+                      else (LAST_STAMP if seconds > 0 else FIRST_STAMP))
+    return stamps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stamps=clustered_stamps(),
+    granularity=st.sampled_from(["hour", "day"]),
+    tz=st.integers(-840, 840),
+    one_shot=st.booleans(),
+)
+# before 1970, where truncating toward zero picks the next bucket
+@example(stamps=[datetime(1969, 12, 31, 23, 30, tzinfo=timezone.utc)], granularity="hour",
+         tz=0, one_shot=False)
+@example(stamps=[datetime(1969, 12, 31, 23, 30, tzinfo=timezone.utc)], granularity="day",
+         tz=0, one_shot=False)
+# the first and the last bucket a datetime can hold, and one second past each
+@example(stamps=[FIRST_STAMP], granularity="hour", tz=0, one_shot=False)
+@example(stamps=[FIRST_STAMP], granularity="day", tz=0, one_shot=False)
+@example(stamps=[LAST_STAMP], granularity="hour", tz=0, one_shot=False)
+@example(stamps=[LAST_STAMP], granularity="day", tz=0, one_shot=False)
+@example(stamps=[FIRST_STAMP + timedelta(minutes=1)], granularity="hour", tz=-2, one_shot=True)
+@example(stamps=[LAST_STAMP - timedelta(seconds=59)], granularity="day", tz=1, one_shot=True)
+# the error names the first tweet out of range, not the first in the list
+@example(stamps=[LAST_STAMP - timedelta(hours=2), LAST_STAMP, LAST_STAMP - timedelta(minutes=1)],
+         granularity="hour", tz=60, one_shot=True)
+def test_histogram_matches_the_datetime_oracle(stamps, granularity, tz, one_shot):
+    tweets = [make_tweet(position, created_at=stamp) for position, stamp in enumerate(stamps, 1)]
+    try:
+        expected = kept_histogram(tweets, granularity, tz)
+    except ValueError as error:
+        expected = str(error)
+    try:
+        got = histogram(iter(tweets) if one_shot else tweets, granularity, tz)
+    except ValueError as error:
+        got = str(error)
+    assert got == expected
+
+
 # --- rankings ----------------------------------------------------------------
 
 
@@ -162,6 +249,67 @@ def test_counters_merge_across_shards(tweets):
         + received_retweet_counts(tweets[half:])
         == received_retweet_counts(tweets)
     )
+
+
+def full_sort_ranking(tweets, count_source):
+    """(id, score, author, text) of every candidate original, by one full sort.
+
+    Scores and display fields are worked out per candidate from the
+    whole list; ids in ``tweets`` are unique.
+    """
+    seen = {tweet.id: tweet for tweet in tweets}
+    reposts = {}
+    for tweet in tweets:
+        if tweet.retweet_of is not None:
+            reposts.setdefault(tweet.retweet_of.original_tweet_id, []).append(tweet)
+
+    def score(original_id):
+        if count_source == "observed":
+            return len(reposts.get(original_id, []))
+        return max(
+            (
+                tweet.retweet_count
+                for tweet in tweets
+                if tweet.retweet_count is not None
+                and (tweet.retweet_of.original_tweet_id if tweet.retweet_of else tweet.id)
+                == original_id
+            ),
+            default=0,
+        )
+
+    candidates = {tweet.id for tweet in tweets if tweet.retweet_of is None} | set(reposts)
+    rows = []
+    for original_id in sorted(candidates, key=lambda original_id: (-score(original_id), original_id)):
+        if original_id in seen:
+            author, text = seen[original_id].author, seen[original_id].text
+        else:
+            carrier = min(reposts[original_id], key=lambda tweet: tweet.id)
+            author = carrier.retweet_of.original_author
+            text = carrier.text.removeprefix(f"RT @{author}: ")
+        rows.append((original_id, score(original_id), author, text))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(tweets=corpora, count_source=st.sampled_from(["observed", "embedded"]))
+# an original seen only through its reposts, whose texts differ, and
+# ties at score 0
+@example(
+    tweets=[
+        make_tweet(3, author="a"),
+        make_tweet(1, author="b"),
+        make_tweet(5, author="c", text="RT @d: kaixo…", retweet_of=(9, "d"), retweet_count=0),
+        make_tweet(4, author="e", text="RT @d: kaixo denoi", retweet_of=(9, "d")),
+    ],
+    count_source="embedded",
+)
+def test_top_tweets_are_the_full_sort_cut_at_k(tweets, count_source):
+    ranking = full_sort_ranking(tweets, count_source)
+    for k in range(1, len(ranking) + 3):
+        top = top_tweets_by_retweets(tweets, k, count_source)
+        assert [(row.key, row.score, row.author, row.text) for row in top] == ranking[:k]
+        assert [row.rank for row in top] == list(range(1, len(top) + 1))
+    assert top_tweets_by_retweets(iter(tweets), len(ranking) + 1, count_source) == top
 
 
 # --- parsing round trip -------------------------------------------------------
@@ -941,6 +1089,27 @@ quoted_graphs = st.builds(
     ),
     merge=st.booleans(),
 )
+
+
+cased_names = st.text(alphabet="aAbBß", min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.dictionaries(
+        st.tuples(cased_names, cased_names, st.sampled_from([KIND_RETWEET, KIND_REPLY, None])),
+        st.integers(1, 5),
+        max_size=30,
+    ),
+    nodes=st.sets(cased_names, max_size=6),
+)
+def test_edges_sort_by_the_name_order_of_both_ends_then_kind(edges, nodes):
+    # nodes need not hold every endpoint
+    graph = WeightedGraph(nodes=nodes, edges=edges)
+    assert _sorted_edge_items(graph) == sorted(
+        edges.items(),
+        key=lambda item: (*_name_order(item[0][0]), *_name_order(item[0][1]), item[0][2] or ""),
+    )
 
 
 @settings(max_examples=40, deadline=None)
