@@ -170,12 +170,9 @@ def clustered_stamps(draw):
             lambda stamp: stamp.replace(microsecond=0, tzinfo=timezone.utc)
         ),
     ))
-    stamps = []
-    for seconds in draw(st.lists(st.integers(-3 * 86400, 3 * 86400), min_size=1, max_size=8)):
-        room = (LAST_STAMP - base) if seconds > 0 else (base - FIRST_STAMP)
-        stamps.append(base + timedelta(seconds=seconds) if abs(seconds) <= room.total_seconds()
-                      else (LAST_STAMP if seconds > 0 else FIRST_STAMP))
-    return stamps
+    moves = draw(st.lists(st.integers(-3 * 86400, 3 * 86400), min_size=1, max_size=8))
+    earliest, latest = FIRST_STAMP - base, LAST_STAMP - base
+    return [base + min(max(timedelta(seconds=move), earliest), latest) for move in moves]
 
 
 @settings(max_examples=300, deadline=None)
