@@ -26,7 +26,6 @@ __all__ = [
     "activity_counts",
     "extract_coordinates",
     "histogram",
-    "observed_retweet_counts",
     "received_retweet_counts",
     "top_tweets_by_retweets",
     "top_users_by_activity",
@@ -146,15 +145,6 @@ def received_retweet_counts(tweets: Iterable[Tweet]) -> Counter:
     """Retweets received per original author, observed in this corpus."""
     return Counter(
         tweet.retweet_of.original_author
-        for tweet in tweets
-        if tweet.retweet_of is not None
-    )
-
-
-def observed_retweet_counts(tweets: Iterable[Tweet]) -> Counter:
-    """Retweets observed in this corpus per original tweet id."""
-    return Counter(
-        tweet.retweet_of.original_tweet_id
         for tweet in tweets
         if tweet.retweet_of is not None
     )

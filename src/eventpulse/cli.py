@@ -4,16 +4,17 @@ Exit codes: 0 on success, 1 on operational failures (missing files, bad
 archives, bad endpoints, a ``--tz`` past +-840, an unusable output;
 message on stderr), 2 on usage errors, such as an option put before its
 subcommand or a missing ``--endpoint``. One read, one render, one
-commit: ``run`` reads the archive once (that read may write an entry
-to the parse cache, and a later ``run`` in the same process over the
-same bytes takes the result of the last read without parsing or
-loading it; see ``eventpulse.tweets``); an analysis command
-writes nothing and returns its stdout text and the text of each output
-file; ``run`` encodes all of them before it opens a file, then writes
-the files in order and stdout last. So a file text UTF-8 cannot carry,
-or a stdout text the stream cannot encode, fails the command with only
-its ``error:`` line and leaves every file as it was. With a fixed seed
-every subcommand writes byte-identical output files across reruns.
+commit: ``run`` reads the archive once (that read may leave a marker or
+write an entry in the parse cache, and a later ``run`` in the same
+process over the same bytes takes the result of the last read without
+parsing, loading or touching a cache file; see ``eventpulse.tweets``);
+an analysis command writes nothing and returns its stdout text and the
+text of each output file; ``run`` encodes all of them before it opens a
+file, then writes the files in order and stdout last. So a file text
+UTF-8 cannot carry, or a stdout text the stream cannot encode, fails the
+command with only its ``error:`` line and leaves every file as it was.
+With a fixed seed every subcommand writes byte-identical output files
+across reruns.
 """
 
 from __future__ import annotations

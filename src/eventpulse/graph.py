@@ -180,7 +180,8 @@ def label_propagation(graph: WeightedGraph, seed: int = 42) -> dict[str, int]:
     ``_MAX_SWEEPS`` (100) sweeps. Labels are renumbered 0..C-1 in order of
     first appearance over the node list sorted by ``(casefold, name)``,
     the order the returned dict keeps, and a community can never span
-    two connected components.
+    two connected components. An edge endpoint that is not a node
+    raises ValueError.
     """
     nodes = sorted(graph.nodes, key=_name_order)
     if not nodes:
@@ -188,7 +189,10 @@ def label_propagation(graph: WeightedGraph, seed: int = 42) -> dict[str, int]:
     index = {node: i for i, node in enumerate(nodes)}
     neighbors: list[dict[int, int]] = [{} for _ in nodes]
     for (source, target, _kind), weight in graph.edges.items():
-        i, j = index[source], index[target]
+        try:
+            i, j = index[source], index[target]
+        except KeyError as exc:
+            raise ValueError(f"edge endpoint that is not a node: {exc.args[0]!r}") from None
         neighbors[i][j] = neighbors[i].get(j, 0) + weight
         if i != j:
             neighbors[j][i] = neighbors[j].get(i, 0) + weight
@@ -270,22 +274,22 @@ def export_gexf(graph: WeightedGraph, communities: dict[str, int]) -> str:
     equal inputs give identical text. The text is two-space indented
     with LF line ends; encoded as UTF-8 it is the bytes
     ``xml.etree.ElementTree`` writes on POSIX for the same tree after
-    ``ET.indent``. A node without a community, or a node name that XML
-    1.0 cannot carry, raises ValueError.
+    ``ET.indent``. A node without a community, an edge endpoint that is
+    not a node, or a node name or kind that XML 1.0 cannot carry raises
+    ValueError.
     """
     missing = graph.nodes - communities.keys()
     if missing:
         raise ValueError(f"no community for node(s): {sorted(missing)[:3]}")
-    bad = sorted(node for node in graph.nodes if _NOT_XML_CHAR.search(node))
+    undeclared = {name for key in graph.edges for name in key[:2]} - graph.nodes
+    if undeclared:
+        raise ValueError(f"edge endpoint(s) that are not nodes: {sorted(undeclared)[:3]}")
+    names = graph.nodes.union(*graph.edges) - {None}  # nodes, endpoints and kinds
+    bad = sorted(name for name in names if _NOT_XML_CHAR.search(name))
     if bad:
-        raise ValueError(f"node name(s) XML 1.0 cannot hold: {bad[:3]}")
+        raise ValueError(f"name(s) XML 1.0 cannot hold: {bad[:3]}")
     with_kind = any(key[2] is not None for key in graph.edges)
-    # each node, endpoint and kind escaped once
-    quoted = {
-        text: _quote_attr(text)
-        for text in graph.nodes.union(*graph.edges)
-        if text is not None
-    }
+    quoted = {name: _quote_attr(name) for name in names}  # each name escaped once
 
     parts = [
         "<?xml version='1.0' encoding='utf-8'?>\n"

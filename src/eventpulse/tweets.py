@@ -11,24 +11,26 @@ Parsing never rewrites archive lines: the collector stores raw bytes
 and this module only builds an in-memory view of them.
 
 ``read_archive`` parses the bytes of a regular file at most twice. The
-first read leaves a marker ``<digest>.seen`` under
+first sighting leaves a marker ``<digest>.seen`` under
 ``$XDG_CACHE_HOME/eventpulse/`` (default ``~/.cache/eventpulse/``), the
 digest being the sha256 of the archive bytes, this file's bytes and
 ``sys.version``. The second writes the entry ``<digest>.jsonl``, from
-which later reads rebuild the same result without decoding a record, so
-a day file still being written never gets one. An entry is a header line
-``[total_lines,malformed]``, then the valid records as rows, a batch of
-rows to a line, each line one array the stdlib JSON codec writes and
-reads. The 16 most recently used entries and, apart, the 16 newest
-markers are kept, and an entry that cannot be read or written is parsed
-around.
+which later sightings rebuild the same result without decoding a record,
+so a day file still being written never gets one. An entry is a header
+line ``[total_lines,malformed]``, then the valid records as rows, a
+batch of rows to a line, each line one array the stdlib JSON codec
+writes and reads. The 16 most recently written or loaded entries and,
+apart, the 16 newest markers are kept, and an entry that cannot be read
+or written is parsed around.
 
 In one process, ``read_archive`` also keeps the result of its last read
-that had an entry path, keyed by that path, so a read of the same bytes
-under the same cache directory neither parses nor loads: it takes the
-held result and leaves the cache directory as a parse or a load would.
-That one slot holds one archive's Tweets until another archive is read
-or the process exits; other processes share only the files.
+that had an entry path, keyed by that path. A read of the same bytes
+under the same cache directory takes the held result: it neither parses
+nor loads, and after hashing the bytes it makes no filesystem call, so
+it leaves the cache directory as it was. A sighting is a read that this
+slot does not serve. The slot holds one archive's Tweets until another
+archive is read or the process exits; other processes share only the
+files.
 """
 
 from __future__ import annotations
@@ -471,25 +473,18 @@ def read_archive(
     later occurrences of an id are dropped and counted.
 
     The bytes of a regular file are parsed at most twice (see the module
-    docstring): from the third read of the same bytes on, with either
+    docstring): from the third sighting of the same bytes on, with either
     ``dedupe``, the same result is rebuilt from their cache entry. A read
     whose entry path is that of the last read in this process takes the
-    result that read held, without parsing or loading; the cache files
-    are touched, marked or written as a parse or a load would leave them.
-    The list returned is the caller's own.
+    result that read held. It is no sighting: it neither parses nor
+    loads, and after hashing the bytes it touches no file. The list
+    returned is the caller's own.
     """
     global _last_read
     with open(path, "rb") as handle:
         entry = _entry_path(handle)
         last_entry, parse = _last_read  # read once: another thread may rebind it
-        if entry is not None and entry == last_entry:
-            # leave the cache files as the load or parse skipped here would
-            if os.path.exists(entry):
-                with suppress(OSError):
-                    os.utime(entry)
-            else:
-                _store_entry(entry, *parse)
-        else:
+        if entry is None or entry != last_entry:
             parse = _load_entry(entry) if entry is not None else None
             if parse is None:
                 # the entry is named by the bytes parsed here, so a file that

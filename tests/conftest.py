@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -347,8 +349,36 @@ def korrika_archive() -> Path | None:
 
 
 def forget_last_read() -> None:
-    """Empty ``read_archive``'s in-process slot: the next read goes to the parse cache's files."""
+    """Empty ``read_archive``'s in-process slot: the next read is a sighting of its bytes."""
     tweets._last_read = (None, None)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# both reads of an archive (without, then with dedupe), as ``shown`` gives
+# them, by an interpreter that must load the bytes' entry to make them
+FRESH_INTERPRETER_READ = """
+import json, sys
+from eventpulse import tweets
+def refuse(*args):
+    raise AssertionError("a record was parsed: the read missed the cache")
+tweets._decode_record = tweets._build_tweet = refuse
+reads = [tweets.read_archive(sys.argv[1], dedupe=dedupe) for dedupe in (False, True)]
+print(json.dumps([[repr(got), repr(stats)] for got, stats in reads]))
+"""
+
+
+def shown(read):
+    """A read as text: the repr of every Tweet, then of the ParseStats."""
+    tweets, stats = read
+    return [repr(tweets), repr(stats)]
+
+
+def fresh_interpreter(script: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new Python that imports this checkout's ``eventpulse``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, timeout=60, **kwargs)
 
 
 @pytest.fixture(autouse=True)
@@ -356,8 +386,11 @@ def parse_cache(tmp_path_factory, monkeypatch) -> Path:
     """A fresh, empty parse cache for each test, outside its tmp_path.
 
     ``read_archive`` writes markers and entries under
-    ``$XDG_CACHE_HOME/eventpulse``: the first read of some bytes leaves a
-    marker, the second writes their entry. Pointing that at a per-test
+    ``$XDG_CACHE_HOME/eventpulse``: the first sighting of some bytes leaves
+    a marker, the second writes their entry. A read that the in-process
+    slot serves is no sighting and leaves the directory as it was, so a
+    test that wants two sightings in one process calls
+    ``forget_last_read`` between them. Pointing that at a per-test
     directory keeps the suite out of the user's cache and keeps one
     test's markers and entries from serving another. The variable is
     inherited by every child process a test starts. Hypothesis's check

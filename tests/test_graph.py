@@ -308,6 +308,11 @@ class TestLabelPropagation:
         for components in by_label.values():
             assert len(components) == 1
 
+    def test_an_endpoint_that_is_not_a_node_is_rejected(self):
+        graph = WeightedGraph(nodes={"a"}, edges={("a", "b\x01", KIND_REPLY): 1})
+        with pytest.raises(ValueError, match=r"not a node: 'b\\x01'"):
+            label_propagation(graph)
+
 
 def gexf_file(graph: WeightedGraph, communities: dict[str, int]) -> io.BytesIO:
     """The GEXF text as the bytes a file would hold, for XML and networkx readers."""
@@ -413,6 +418,22 @@ class TestGexf:
             export_gexf(graph, label_propagation(graph))
         # up to three of the offending names, escaped as repr() shows them
         assert str(raised.value).count(repr(char)[1:-1]) == 3
+
+    @pytest.mark.parametrize(
+        "edges, message, named",
+        [
+            ({("a", f"b{i}\x01", KIND_REPLY): 1 for i in range(5)}, "not nodes", 3),
+            ({("a", "a", "re\x02ply"): 1}, "XML 1.0", 1),
+        ],
+        ids=["endpoint-not-a-node", "kind-xml-cannot-hold"],
+    )
+    def test_an_undeclared_endpoint_or_unholdable_kind_is_rejected(self, edges, message, named):
+        graph = WeightedGraph(nodes={"a"}, edges=edges)
+        with pytest.raises(ValueError, match=message) as raised:
+            export_gexf(graph, {"a": 0})
+        assert str(raised.value).count("\\x0") == named  # up to three names, as repr() shows them
+        # a CSV declares no nodes, so it carries every edge all the same
+        assert len(export_edges_csv(graph).splitlines()) == 1 + len(edges)
 
     def test_tab_and_line_breaks_in_names_stay_valid(self, gexf_checker):
         graph = undirected({("a\tb", "c\nd"): 1, ("c\nd", "e\rf"): 1})

@@ -1,19 +1,19 @@
 """The parse cache behind read_archive, and the slot in front of it.
 
-The first read of new bytes leaves a marker, the second writes their
-entry, and a later read rebuilds the result from it. A read of the
+The first sighting of new bytes leaves a marker, the second writes their
+entry, and a later sighting rebuilds the result from it. A read of the
 bytes the last read in the process had, under the same cache directory,
-takes that read's result from the slot instead. A warm read must
-give what a cold parse gives, and no fault in the cache
-(no home, an unusable cache directory, a torn or altered entry, a writer
-killed mid-write, an archive changed after its entry was written) may
-change a result or an exit code: the read falls back to the parse.
+takes that read's result from the slot instead: it is no sighting, and
+it changes no file. A warm read must give what a cold parse gives, and
+no fault in the cache (no home, an unusable cache directory, a torn or
+altered entry, a writer killed mid-write, an archive changed after its
+entry was written) may change a result or an exit code: the read falls
+back to the parse.
 """
 
 import json
 import os
 import signal
-import subprocess
 import sys
 import tempfile
 import threading
@@ -22,12 +22,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import forget_last_read, make_record, record_line, write_archive
+from conftest import (
+    FRESH_INTERPRETER_READ,
+    forget_last_read,
+    fresh_interpreter,
+    make_record,
+    record_line,
+    shown,
+    write_archive,
+)
 from eventpulse import tweets
 from eventpulse.cli import run
 from eventpulse.tweets import read_archive
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -61,9 +67,12 @@ def entries(cache: Path, suffix: str = ".jsonl") -> list[Path]:
 def cached(path: Path) -> None:
     """Read ``path`` twice, so the second sighting of its bytes writes their entry.
 
-    The slot is then emptied, so the next read of those bytes loads the entry.
+    The slot is emptied between the two reads, so the second is a sighting
+    and not a hit, and after them, so the next read of those bytes loads
+    the entry.
     """
     read_archive(path)
+    forget_last_read()
     read_archive(path)
     forget_last_read()
 
@@ -164,6 +173,7 @@ def test_cache_directory_follows_xdg_then_home(archive, tmp_path, monkeypatch):
     for value in ("", "relative/cache"):
         monkeypatch.setenv("XDG_CACHE_HOME", value)
         read_archive(archive)
+        forget_last_read()  # so the next read is a sighting
     monkeypatch.delenv("XDG_CACHE_HOME")
     read_archive(archive)
     assert len(entries(home / ".cache" / "eventpulse")) == 1
@@ -326,14 +336,13 @@ def test_writer_killed_before_its_entry_was_in_place(archive, parse_cache, cold,
     # a child process that dies at the step that would publish its entry
     script = (
         "import os, signal, sys\n"
-        "from eventpulse.tweets import read_archive\n"
+        "from eventpulse import tweets\n"
         "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
-        "read_archive(sys.argv[1])\n"
-        "read_archive(sys.argv[1])\n"
+        "tweets.read_archive(sys.argv[1])\n"
+        "tweets._last_read = (None, None)\n"  # so the second read is a sighting
+        "tweets.read_archive(sys.argv[1])\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", script, str(archive)], env=env, timeout=60)
+    done = fresh_interpreter(script, str(archive))
     assert done.returncode == -signal.SIGKILL
     [left] = parse_cache.glob("*.tmp")
     assert entries(parse_cache) == []
@@ -492,7 +501,10 @@ def test_an_entry_of_several_batch_lines(tmp_path, parse_cache, monkeypatch):
         if row % 97 == 0:
             lines.append("{oops")
     path = write_archive(tmp_path / "big.jsonl", lines)
-    cold = [read_archive(path, dedupe=dedupe) for dedupe in (False, True)]  # the second writes
+    cold = []
+    for dedupe in (False, True):  # two sightings: the second writes the entry
+        forget_last_read()
+        cold.append(read_archive(path, dedupe=dedupe))
     [entry] = entries(parse_cache)
     assert [len(json.loads(line)) for line in entry.read_bytes().splitlines()[1:]] == [
         size, size, 1,
@@ -518,6 +530,7 @@ def test_an_empty_archive_gets_a_header_only_entry(tmp_path, parse_cache):
     path = write_archive(tmp_path / "empty.jsonl", [])
     assert read_archive(path) == ([], tweets.ParseStats())
     assert entries(parse_cache) == []
+    forget_last_read()  # so the next read is the second sighting
     assert read_archive(path) == ([], tweets.ParseStats())
     [entry] = entries(parse_cache)
     assert entry.read_bytes() == b"[0,0]\n"
@@ -534,14 +547,49 @@ def test_a_repeated_read_takes_the_last_reads_result(archive, parse_cache, cold,
     read_archive(archive)
     assert len(parsed) == 1  # another cache directory is another key
     assert (entries(parse_cache), len(entries(parse_cache, ".seen"))) == ([], 1)
-    refuse_to_parse(monkeypatch, "_load_entry")
-    read_archive(archive)  # the second sighting writes the entry, from the slot
+    forget_last_read()
+    read_archive(archive)  # the second sighting writes the entry
     [entry] = entries(parse_cache)
     assert entries(parse_cache, ".seen") == []
     os.utime(entry, (1, 1))
+    refuse_to_parse(monkeypatch, "_load_entry", "_store_entry")
     assert results(archive, capsys) == expected
     assert (entries(parse_cache), entries(parse_cache, ".seen")) == ([entry], [])
-    assert entry.stat().st_mtime > 1  # a hit is a use of the entry, as a load is
+    assert entry.stat().st_mtime == 1  # a hit changes no file, not even the entry's mtime
+
+
+def on_disk(directory: Path) -> dict[str, tuple[bytes, int]]:
+    """Each file's name, bytes and ``st_mtime_ns``."""
+    return {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in directory.iterdir()}
+
+
+def test_repeated_reads_in_one_process_are_one_sighting(archive, parse_cache):
+    reads = [read_archive(archive)]  # the one sighting: it leaves a marker
+    left = on_disk(parse_cache)
+    assert [Path(name).suffix for name in left] == [".seen"]
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_to_parse(patch, "_load_entry", "_store_entry")
+        hashed = tweets._entry_path
+
+        def hash_then_lose_os(handle):
+            patch.setattr(tweets, "os", os)
+            entry = hashed(handle)
+            patch.setattr(tweets, "os", None)  # from here on, an os call in the read raises
+            return entry
+
+        patch.setattr(tweets, "_entry_path", hash_then_lose_os)
+        for dedupe in (True, False):  # the second and third reads: hits
+            reads.append(read_archive(archive, dedupe=dedupe))
+            assert on_disk(parse_cache) == left
+    assert fresh_interpreter(
+        "import sys; from eventpulse.tweets import read_archive; read_archive(sys.argv[1])",
+        str(archive),
+    ).returncode == 0  # the second sighting, in another process, writes the entry
+    assert (len(entries(parse_cache)), entries(parse_cache, ".seen")) == (1, [])
+    done = fresh_interpreter(FRESH_INTERPRETER_READ, str(archive), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [shown(read) for read in reads[:2]]
+    assert shown(reads[2]) == shown(reads[0])
 
 
 @pytest.mark.parametrize("dedupe", [False, True])
