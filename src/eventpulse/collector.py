@@ -110,6 +110,8 @@ class CollectionStats:
     ``malformed`` counts lines that are not a JSON object in UTF-8 and
     matching lines that fail validation; a line that does not match is
     never validated and counts as ``unmatched`` even when it is invalid.
+    A line that holds a line feed is ``malformed`` before it is decoded:
+    the archive, one record to a line, could not keep it whole.
     ``duplicate`` counts valid matching lines whose id this run has
     already written.
     """
@@ -214,7 +216,7 @@ def _utc(clock: Clock) -> datetime:
 
 
 class StreamSource(Protocol):
-    """connect() yields raw record lines (bytes, no newline).
+    """connect() yields raw record lines (bytes, no newline: a line holding one is malformed).
 
     Iteration ends when the source is permanently exhausted or the stop
     event is set; a transient drop raises StreamDisconnected instead.
@@ -243,8 +245,8 @@ class ReplaySource:
     connection drops (StreamDisconnected) right after the N-th line
     delivered over all connections. Each reconnect resumes ``rewind``
     lines back, never before the first line, to mimic streams that
-    re-deliver after a drop. Track terms are ignored: filtering is the
-    collector's job.
+    re-deliver after a drop; ``rewind`` must be >= 0 (else ValueError).
+    Track terms are ignored: filtering is the collector's job.
 
     Attributes:
         lines: the recorded lines as bytes, without line terminators.
@@ -258,12 +260,13 @@ class ReplaySource:
         disconnect_after: Iterable[int] = (),
         rewind: int = 0,
     ):
+        if rewind < 0:
+            raise ValueError(f"rewind must be >= 0, got {rewind}")
         self.lines = [_to_bytes(line) for line in lines]
         self.delivered = 0
         self._pending = sorted(set(disconnect_after))
         self._rewind = rewind
         self._cursor = 0
-        self._connected_before = False
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplaySource":
@@ -273,9 +276,8 @@ class ReplaySource:
     def connect(
         self, track_terms: Sequence[str], stop: threading.Event | None = None
     ) -> Iterator[bytes]:
-        if self._connected_before:
-            self._cursor = max(0, self._cursor - self._rewind)
-        self._connected_before = True
+        # on the first connect the cursor is 0, so the rewind moves nothing
+        self._cursor = max(0, self._cursor - self._rewind)
         return self._replay(stop)
 
     def _replay(self, stop: threading.Event | None) -> Iterator[bytes]:
@@ -526,6 +528,9 @@ class _LineFilter:
         if not raw.strip():
             return  # a keep-alive, not a record
         stats = self._stats
+        if b"\n" in raw:
+            stats.malformed += 1  # appended, it would become several lines
+            return
         try:
             record = _decode_record(raw)
         except ParseError:

@@ -41,9 +41,12 @@ class MockStreamServer:
     """Scriptable replay server; see the module docstring for the protocol.
 
     ``/stream`` plays one ReplaySource built from ``lines``,
-    ``disconnect_after`` and ``rewind_on_reconnect``; a blank keep-alive
-    follows every ``keepalive_every``-th line delivered over all
-    connections. Connections are served one at a time.
+    ``disconnect_after`` and ``rewind_on_reconnect``, which must be >= 0
+    (else ValueError); a blank keep-alive follows every
+    ``keepalive_every``-th line delivered over all connections. Each page
+    in ``rate_limit_pages`` answers ``RATE_LIMIT`` the first time it is
+    asked for, and is served after that. Connections are served one at a
+    time.
 
     Attributes:
         exhausted: set once every line went out at least once (stream mode).
@@ -69,7 +72,6 @@ class MockStreamServer:
         self._rate_limit_pages = set(rate_limit_pages)
         self._rate_limit_retry_after = rate_limit_retry_after
 
-        self._rate_limited_served: set[int] = set()
         self._stop = threading.Event()
         self._server: _Server | None = None
 
@@ -140,8 +142,8 @@ class MockStreamServer:
         if page < 0:
             conn.sendall(b"ERROR page must be a non-negative integer\n")
             return
-        if page in self._rate_limit_pages and page not in self._rate_limited_served:
-            self._rate_limited_served.add(page)
+        if page in self._rate_limit_pages:
+            self._rate_limit_pages.discard(page)  # the next ask for it is served
             conn.sendall(f"RATE_LIMIT {self._rate_limit_retry_after}\n".encode())
             return
         start = page * self._page_size

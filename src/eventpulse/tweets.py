@@ -46,7 +46,7 @@ import tempfile
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from itertools import chain, repeat
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
@@ -65,8 +65,8 @@ __all__ = [
 MAX_ID = 2**64 - 1
 
 _CLASSIC_FORMAT = "%a %b %d %H:%M:%S %z %Y"
-_MONTHS = {
-    name: number
+_MONTH_DIGITS = {
+    name: f"{number:02d}"
     for number, name in enumerate(
         "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), start=1
     )
@@ -78,11 +78,10 @@ _MONTHS = {
 # reads. Hour 24 is left out because some Python versions read
 # ``T24:00:00`` as the next midnight, which ``strptime`` never does.
 _CLASSIC_LAYOUT = re.compile(
-    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (?:" + "|".join(_MONTHS) + ") "
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (?:" + "|".join(_MONTH_DIGITS) + ") "
     r"\d\d (?:[01]\d|2[0-3]):\d\d:\d\d [+-]\d\d[0-5]\d \d{4}",
     re.ASCII,
 )
-_MONTH_DIGITS = {name: f"{number:02d}" for name, number in _MONTHS.items()}
 _HASHTAG = re.compile(r"#(\w+)")
 
 
@@ -350,15 +349,6 @@ def _point(container: object, lat_at: int) -> tuple[float, float] | None:
     return _lat_lon(pair[lat_at], pair[1 - lat_at])
 
 
-def _parse_coords(geojson: object, legacy: object) -> tuple[float, float] | None:
-    """(latitude, longitude) from GeoJSON ``coordinates``, else legacy ``geo``.
-
-    GeoJSON stores [longitude, latitude], ``geo`` [latitude, longitude].
-    A pair that is short, not two JSON numbers or off the globe is absent.
-    """
-    return _point(geojson, 1) or _point(legacy, 0)
-
-
 def _parse_retweet(embedded: object, tweet_id: int) -> tuple[RetweetRef | None, int | None]:
     """The reference and counter of a ``retweeted_status`` value, or (None, None)."""
     if not isinstance(embedded, dict):
@@ -425,8 +415,8 @@ def _build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
     ``text`` and ``hashtags`` are ``_text_and_hashtags(record)``, which the
     caller may already hold. Raises ParseError naming the first bad field,
     checked in the order id, created_at, user.screen_name, retweeted_status.
-    An optional field that is absent or null is read as absent without a
-    call to its reader; any other value goes through the reader.
+    Every optional field goes through its reader, which reads an absent or
+    null value as absent.
 
     This is where a parsed record is validated: the readers give every
     field in the form ``Tweet.__new__`` requires, so the Tweet is made by
@@ -437,17 +427,13 @@ def _build_tweet(record: dict, text: str, hashtags: tuple[str, ...]) -> Tweet:
     tweet_id = _parse_id(get("id"), "id")
     created_at = _parse_timestamp(get("created_at"))
     author = _parse_screen_name(get("user"), "user.screen_name")
-    retweet_of = retweet_count = None
-    embedded = get("retweeted_status")
-    if embedded is not None:
-        retweet_of, retweet_count = _parse_retweet(embedded, tweet_id)
+    retweet_of, retweet_count = _parse_retweet(get("retweeted_status"), tweet_id)
     if retweet_of is None:
         retweet_count = _counter(get("retweet_count"))
-    reply_to = get("in_reply_to_screen_name")
-    if reply_to is not None:
-        reply_to = _screen_name(reply_to)
-    geojson, legacy = get("coordinates"), get("geo")
-    coords = None if geojson is None and legacy is None else _parse_coords(geojson, legacy)
+    reply_to = _screen_name(get("in_reply_to_screen_name"))
+    # GeoJSON [longitude, latitude] first, then legacy ``geo`` [latitude, longitude];
+    # a pair that is short, not two JSON numbers or off the globe is absent
+    coords = _point(get("coordinates"), 1) or _point(get("geo"), 0)
     return _trusted_tweet(
         (tweet_id, created_at, author, text, hashtags, retweet_of, reply_to, coords, retweet_count)
     )
@@ -553,8 +539,6 @@ _HASH_CHUNK = 1 << 20
 # rows to an entry line, so to one encode and one json.loads; of the sizes
 # tried (128 to 1,024), 400 alone left the peak RSS of warm reads as it was
 _WRITE_BATCH_ROWS = 400
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_SECOND = timedelta(seconds=1)
 _NULL = type(None)
 # rows hold no cycles, so the encoder need not look for them
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
@@ -667,7 +651,8 @@ def _check_columns(*columns: tuple) -> None:
 def _row(tweet: Tweet) -> tuple:
     """The entry row of a parsed Tweet; ``_rows_tweets`` turns it back into an equal one."""
     tweet_id, created_at, *rest = tweet
-    return (tweet_id, (created_at - _EPOCH) // _SECOND, *rest)
+    # UTC in whole seconds, so the float timestamp is exact
+    return (tweet_id, int(created_at.timestamp()), *rest)
 
 
 def _store_entry(entry: Path, total_lines: int, malformed: int, tweets: list[Tweet]) -> None:

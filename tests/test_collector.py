@@ -1,3 +1,6 @@
+import errno
+import io
+import json
 import re
 import socket
 import threading
@@ -7,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import HOSTILE_LINES, make_tweet, record_line, write_archive
+from conftest import HOSTILE_LINES, make_record, make_tweet, record_line, write_archive
 from eventpulse.collector import (
     ArchiveWriter,
     CollectionJob,
@@ -182,6 +185,18 @@ class TestReplaySource:
         assert got == [b"a", b"b"]
         assert list(source.connect(("x",))) == [b"b", b"c", b"d"]
 
+    def test_a_negative_rewind_is_refused(self):
+        # it would skip lines on each reconnect: a, b, then e, f out of a to f
+        with pytest.raises(ValueError, match="rewind must be >= 0, got -2"):
+            ReplaySource(["a", "b", "c", "d", "e", "f"], disconnect_after=[2], rewind=-2)
+
+    def test_stop_set_between_lines_ends_the_connection(self):
+        stop = threading.Event()
+        stream = ReplaySource(["a", "b", "c"]).connect(("x",), stop)
+        assert next(stream) == b"a"
+        stop.set()
+        assert list(stream) == []
+
     def test_from_file_skips_blank_lines(self, tmp_path):
         path = write_archive(tmp_path / "s.jsonl", ["a", "", "b"])
         source = ReplaySource.from_file(path)
@@ -230,8 +245,11 @@ class TestCollectStream:
              False),
             (record_line(id=1, text="#peaktime", screen_name=" @ane"), True),
             (record_line(id=1, text="#peaktime", geo=(10**400, -2.67)), True),
+            # valid and matching, but appended it would be 8 malformed lines
+            (json.dumps(make_record(id=1, text="#peaktime"), indent=1), False),
         ],
-        ids=[*HOSTILE_LINES, "out-of-range stamp", "padded name", "huge coordinate"],
+        ids=[*HOSTILE_LINES, "out-of-range stamp", "padded name", "huge coordinate",
+             "line feeds inside"],
     )
     def test_odd_line_does_not_stop_the_run(self, tmp_path, line, kept):
         good = matching_line(2)
@@ -282,6 +300,21 @@ class TestCollectStream:
             stream_job(tmp_path / "b"), OneLinePerConnect(0.0), clock=clock2
         )
         assert clock2.waits == [1.0, 2.0]  # instant drops keep doubling
+
+    def test_stop_set_while_lines_keep_coming(self, tmp_path):
+        stop = threading.Event()
+
+        class DeafToStop:
+            """Yields a line after stop is set, as a source in a blocking read may."""
+
+            def connect(self, track_terms, stop_event=None):
+                yield matching_line(1).encode()
+                stop.set()  # as another thread would, while the source reads on
+                yield matching_line(2).encode()
+
+        stats = collect_stream(stream_job(tmp_path), DeafToStop(), stop, clock=ManualClock())
+        assert (stats.received, stats.written) == (1, 1)
+        assert archive_bytes(tmp_path) == matching_line(1).encode() + b"\n"
 
     def test_pre_set_stop_collects_nothing(self, tmp_path):
         lines, _ = corpus_1000()
@@ -342,6 +375,26 @@ class TestArchiveTail:
         assert [tweet.id for tweet in tweets] == [1, 3]
         assert (parse.total_lines, parse.parsed, parse.skipped_malformed) == (3, 2, 1)
         assert "partial line" in caplog.text
+
+    def test_a_tail_check_that_fails_closes_the_day_file(self, tmp_path, monkeypatch):
+        path = self.day_file(tmp_path, b'{"id": 2, "tex')
+        opened = []
+
+        class ReadFails(io.FileIO):
+            def readinto(self, buffer):
+                raise OSError(errno.EIO, "read failed")
+
+        def open_read_fails(file, mode):
+            assert mode == "a+b"
+            opened.append(io.BufferedRandom(ReadFails(file, "a+")))
+            return opened[-1]
+
+        monkeypatch.setattr("eventpulse.collector.open", open_read_fails, raising=False)
+        writer = ArchiveWriter(tmp_path / "proba", ManualClock())
+        with pytest.raises(OSError, match="read failed"):
+            writer.append(matching_line(3).encode())
+        assert [handle.closed for handle in opened] == [True]
+        assert path.read_bytes() == b'{"id": 2, "tex'
 
     def test_intact_tail_gets_no_extra_line(self, tmp_path, caplog):
         before = matching_line(1).encode() + b"\n"
@@ -803,6 +856,10 @@ class TestMockServerScript:
             server.stop()  # the last connection idles until the server stops
             wires.append(_read_to_close(last))
         assert wires == expected
+
+    def test_a_negative_rewind_is_refused(self):
+        with pytest.raises(ValueError, match="rewind must be >= 0, got -2"):
+            MockStreamServer(self.LINES, disconnect_after=[2], rewind_on_reconnect=-2)
 
     def test_bad_search_page_leaves_the_server_serving(self):
         server = MockStreamServer(self.LINES, page_size=3)

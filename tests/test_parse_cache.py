@@ -188,13 +188,17 @@ def test_no_home(archive, cold, capsys, monkeypatch):
     monkeypatch.delenv("XDG_CACHE_HOME")
     monkeypatch.delenv("HOME", raising=False)
 
+    asked = []
+
     def no_home(cls):
+        asked.append(cls)
         raise RuntimeError("Could not determine home directory.")
 
     monkeypatch.setattr(Path, "home", classmethod(no_home))
     parsed = parses(monkeypatch)  # the slot holds these bytes' parse from cold()
     assert results(archive, capsys) == expected
     assert len(parsed) == 4
+    assert len(asked) == 4  # each read asked for the home directory
 
 
 def test_cache_home_is_a_regular_file(archive, tmp_path, cold, capsys, monkeypatch):
@@ -226,12 +230,17 @@ def test_entry_cannot_be_written(archive, parse_cache, cold, capsys, monkeypatch
     # what a read-only directory does to a user that permission bits bind;
     # a writer whose rename is refused removes its temp file
     expected = cold(archive)
+    read_archive(archive)  # the first sighting leaves a marker
+    forget_last_read()  # so the first read below is the second, which writes
+    calls = []
 
     def refused(*args, **kwargs):
+        calls.append(args)
         raise PermissionError(13, "Permission denied")
 
     monkeypatch.setattr(module, name, refused)
     assert results(archive, capsys) == expected
+    assert len(calls) == 1  # the writer reached the refused call; the slot served the rest
     assert entries(parse_cache) == []
     assert list(parse_cache.glob("*.tmp")) == []
 
@@ -570,8 +579,10 @@ def test_repeated_reads_in_one_process_are_one_sighting(archive, parse_cache):
     with pytest.MonkeyPatch.context() as patch:
         refuse_to_parse(patch, "_load_entry", "_store_entry")
         hashed = tweets._entry_path
+        hashes = []
 
         def hash_then_lose_os(handle):
+            hashes.append(handle)
             patch.setattr(tweets, "os", os)
             entry = hashed(handle)
             patch.setattr(tweets, "os", None)  # from here on, an os call in the read raises
@@ -581,6 +592,7 @@ def test_repeated_reads_in_one_process_are_one_sighting(archive, parse_cache):
         for dedupe in (True, False):  # the second and third reads: hits
             reads.append(read_archive(archive, dedupe=dedupe))
             assert on_disk(parse_cache) == left
+        assert len(hashes) == 2
     assert fresh_interpreter(
         "import sys; from eventpulse.tweets import read_archive; read_archive(sys.argv[1])",
         str(archive),
