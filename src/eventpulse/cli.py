@@ -4,10 +4,10 @@ Exit codes: 0 on success, 1 on operational failures (missing files, bad
 archives, bad endpoints, a ``--tz`` past +-840, an unusable output;
 message on stderr), 2 on usage errors, such as an option put before its
 subcommand or a missing ``--endpoint``. One read, one render, one
-commit: ``run`` reads the archive once (that read may leave a marker or
-write an entry in the parse cache, and a later ``run`` in the same
-process over the same bytes takes the result of the last read without
-parsing, loading or touching a cache file; see ``eventpulse.tweets``);
+commit: ``run`` reads the archive once (a read that parses writes an
+entry in the parse cache, and a later ``run`` in the same process over
+the same bytes takes the result of the last read without parsing,
+loading or touching a cache file; see ``eventpulse.tweets``);
 an analysis command writes nothing and returns its stdout text and the
 text of each output file; ``run`` encodes all of them before it opens a
 file, then writes the files in order and stdout last. So a file text

@@ -10,27 +10,24 @@ fields read here are ``id``, ``created_at``, ``user.screen_name``,
 Parsing never rewrites archive lines: the collector stores raw bytes
 and this module only builds an in-memory view of them.
 
-``read_archive`` parses the bytes of a regular file at most twice. The
-first sighting leaves a marker ``<digest>.seen`` under
-``$XDG_CACHE_HOME/eventpulse/`` (default ``~/.cache/eventpulse/``), the
-digest being the sha256 of the archive bytes, this file's bytes and
-``sys.version``. The second writes the entry ``<digest>.jsonl``, from
-which later sightings rebuild the same result without decoding a record,
-so a day file still being written never gets one. An entry is a header
-line ``[total_lines,malformed]``, then the valid records as rows, a
-batch of rows to a line, each line one array the stdlib JSON codec
-writes and reads. The 16 most recently written or loaded entries and,
-apart, the 16 newest markers are kept, and an entry that cannot be read
-or written is parsed around.
+A read that parses the bytes of a regular file writes their cache entry
+``<digest>.jsonl`` under ``$XDG_CACHE_HOME/eventpulse/`` (default
+``~/.cache/eventpulse/``), the digest being the sha256 of the archive
+bytes, this file's bytes and ``sys.version``, and later reads of those
+bytes rebuild the same result from it without decoding a record. An
+entry is a header line ``[total_lines,malformed]``, then the valid
+records as rows, a batch of rows to a line, each line one array the
+stdlib JSON codec writes and reads. The 16 most recently written or
+loaded entries are kept, and an entry that cannot be read or written is
+parsed around.
 
 In one process, ``read_archive`` also keeps the result of its last read
 that had an entry path, keyed by that path. A read of the same bytes
 under the same cache directory takes the held result: it neither parses
 nor loads, and after hashing the bytes it makes no filesystem call, so
-it leaves the cache directory as it was. A sighting is a read that this
-slot does not serve. The slot holds one archive's Tweets until another
-archive is read or the process exits; other processes share only the
-files.
+it leaves the cache directory as it was. The slot holds one archive's
+Tweets until another archive is read or the process exits; other
+processes share only the files.
 """
 
 from __future__ import annotations
@@ -458,13 +455,12 @@ def read_archive(
     Tweets come back in file order. With ``dedupe`` the second and
     later occurrences of an id are dropped and counted.
 
-    The bytes of a regular file are parsed at most twice (see the module
-    docstring): from the third sighting of the same bytes on, with either
-    ``dedupe``, the same result is rebuilt from their cache entry. A read
-    whose entry path is that of the last read in this process takes the
-    result that read held. It is no sighting: it neither parses nor
-    loads, and after hashing the bytes it touches no file. The list
-    returned is the caller's own.
+    A parse of a regular file's bytes writes their cache entry (see the
+    module docstring), from which a later read of the same bytes, with
+    either ``dedupe``, rebuilds the same result. A read whose entry path
+    is that of the last read in this process takes the result that read
+    held: it neither parses nor loads, and after hashing the bytes it
+    touches no file. The list returned is the caller's own.
     """
     global _last_read
     with open(path, "rb") as handle:
@@ -530,10 +526,8 @@ def _kept(tweets: list[Tweet], dedupe: bool) -> tuple[list[Tweet], int]:
 # ASCII-only JSON, so a lone surrogate is kept as its escape, and one
 # ``json.loads`` reads it back. Entries are trusted like the user's own
 # files: a row is checked for shape, not held to the reader's rules again.
-# A marker, ``<sha256>.seen``, is empty: it only says that those bytes were
-# read once.
 
-_CACHE_ENTRIES = 16  # entries kept, and markers kept apart from them
+_CACHE_ENTRIES = 16  # entries kept
 _STALE_TEMP_S = 3600  # a temp file this old was left by a writer that died
 _HASH_CHUNK = 1 << 20
 # rows to an entry line, so to one encode and one json.loads; of the sizes
@@ -656,50 +650,43 @@ def _row(tweet: Tweet) -> tuple:
 
 
 def _store_entry(entry: Path, total_lines: int, malformed: int, tweets: list[Tweet]) -> None:
-    """Write the cache entry of one parse if its bytes were seen before, then prune the cache.
-
-    A miss that finds neither ``entry`` nor its ``.seen`` marker leaves the
-    marker instead. One that finds either (the marker, or an entry it could
-    not read) writes the entry and removes the marker. On a failure, nothing
-    is written.
-    """
+    """Write the cache entry of one parse, then prune the cache; on a failure, write nothing."""
     directory = entry.parent
-    marker = entry.with_suffix(".seen")
     try:
-        if not (marker.exists() or entry.exists()):
-            directory.mkdir(parents=True, exist_ok=True)
-            marker.touch()
-        else:
-            fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=directory)
-            try:
-                with open(fd, "w", encoding="ascii", newline="\n") as out:
-                    out.write(f"[{total_lines},{malformed}]\n")
-                    for start in range(0, len(tweets), _WRITE_BATCH_ROWS):
-                        rows = list(map(_row, tweets[start : start + _WRITE_BATCH_ROWS]))
-                        out.write(_encode(rows) + "\n")
-                os.replace(temp, entry)  # readers see a whole entry or none
-            except BaseException:
-                with suppress(OSError):
-                    os.unlink(temp)
-                raise
-            marker.unlink(missing_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=directory)
+        try:
+            with open(fd, "w", encoding="ascii", newline="\n") as out:
+                out.write(f"[{total_lines},{malformed}]\n")
+                for start in range(0, len(tweets), _WRITE_BATCH_ROWS):
+                    rows = list(map(_row, tweets[start : start + _WRITE_BATCH_ROWS]))
+                    out.write(_encode(rows) + "\n")
+            os.replace(temp, entry)  # readers see a whole entry or none
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(temp)
+            raise
         _prune(directory)
     except (OSError, ValueError):
         pass  # the parse stands without an entry
 
 
 def _prune(directory: Path) -> None:
-    """Keep the ``_CACHE_ENTRIES`` newest entries and, counted apart, markers; no stale temp."""
-    by_suffix: dict[str, list] = {".jsonl": [], ".seen": []}
+    """Keep the ``_CACHE_ENTRIES`` entries last written or loaded, and no stale temp file.
+
+    A file that another process removes first is passed over.
+    """
+    entries = []
     stale = time.time() - _STALE_TEMP_S
     with os.scandir(directory) as items:
         for item in items:
             suffix = os.path.splitext(item.name)[1]
-            if suffix in by_suffix:
-                by_suffix[suffix].append((item.stat().st_mtime_ns, item.path))
-            elif suffix == ".tmp" and item.stat().st_mtime < stale:
-                os.unlink(item.path)
-    for files in by_suffix.values():
-        files.sort(reverse=True)
-        for _used, path in files[_CACHE_ENTRIES:]:
+            with suppress(FileNotFoundError):
+                if suffix == ".jsonl":
+                    entries.append((item.stat().st_mtime_ns, item.path))
+                elif suffix == ".tmp" and item.stat().st_mtime < stale:
+                    os.unlink(item.path)
+    entries.sort(reverse=True)
+    for _used, path in entries[_CACHE_ENTRIES:]:
+        with suppress(FileNotFoundError):
             os.unlink(path)

@@ -349,7 +349,7 @@ def korrika_archive() -> Path | None:
 
 
 def forget_last_read() -> None:
-    """Empty ``read_archive``'s in-process slot: the next read is a sighting of its bytes."""
+    """Empty ``read_archive``'s in-process slot: the next read goes to the cache's files."""
     tweets._last_read = (None, None)
 
 
@@ -385,17 +385,13 @@ def fresh_interpreter(script: str, *args: str, **kwargs) -> subprocess.Completed
 def parse_cache(tmp_path_factory, monkeypatch) -> Path:
     """A fresh, empty parse cache for each test, outside its tmp_path.
 
-    ``read_archive`` writes markers and entries under
-    ``$XDG_CACHE_HOME/eventpulse``: the first sighting of some bytes leaves
-    a marker, the second writes their entry. A read that the in-process
-    slot serves is no sighting and leaves the directory as it was, so a
-    test that wants two sightings in one process calls
-    ``forget_last_read`` between them. Pointing that at a per-test
-    directory keeps the suite out of the user's cache and keeps one
-    test's markers and entries from serving another. The variable is
-    inherited by every child process a test starts. Hypothesis's check
-    for function-scoped fixtures skips autouse ones, so the examples of
-    one property test share this directory.
+    ``read_archive`` writes the entry of each parse of a regular file under
+    ``$XDG_CACHE_HOME/eventpulse``. Pointing that at a per-test directory
+    keeps the suite out of the user's cache and keeps one test's entries
+    from serving another. The variable is inherited by every child
+    process a test starts. Hypothesis's check for function-scoped
+    fixtures skips autouse ones, so the examples of one property test
+    share this directory.
     """
     root = tmp_path_factory.mktemp("xdg-cache")
     monkeypatch.setenv("XDG_CACHE_HOME", str(root))

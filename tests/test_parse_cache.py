@@ -1,16 +1,17 @@
 """The parse cache behind read_archive, and the slot in front of it.
 
-The first sighting of new bytes leaves a marker, the second writes their
-entry, and a later sighting rebuilds the result from it. A read of the
+A read that parses the bytes of a regular file writes their entry, and a
+later read of those bytes rebuilds the result from it. A read of the
 bytes the last read in the process had, under the same cache directory,
-takes that read's result from the slot instead: it is no sighting, and
-it changes no file. A warm read must give what a cold parse gives, and
-no fault in the cache (no home, an unusable cache directory, a torn or
-altered entry, a writer killed mid-write, an archive changed after its
-entry was written) may change a result or an exit code: the read falls
-back to the parse.
+takes that read's result from the slot instead, and changes no file. A
+warm read must give what a cold parse gives, and no fault in the cache
+(no home, an unusable cache directory, a torn or altered entry, a
+writer killed mid-write, an archive changed after its entry was
+written) may change a result or an exit code: the read falls back to
+the parse.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -60,19 +61,12 @@ def archive(tmp_path):
     return write_archive(tmp_path / "event.jsonl", lines)
 
 
-def entries(cache: Path, suffix: str = ".jsonl") -> list[Path]:
-    return sorted(cache.glob(f"*{suffix}")) if cache.is_dir() else []
+def entries(cache: Path) -> list[Path]:
+    return sorted(cache.glob("*.jsonl")) if cache.is_dir() else []
 
 
 def cached(path: Path) -> None:
-    """Read ``path`` twice, so the second sighting of its bytes writes their entry.
-
-    The slot is emptied between the two reads, so the second is a sighting
-    and not a hit, and after them, so the next read of those bytes loads
-    the entry.
-    """
-    read_archive(path)
-    forget_last_read()
+    """Read ``path``, which writes its bytes' entry, and empty the slot: the next read loads it."""
     read_archive(path)
     forget_last_read()
 
@@ -173,7 +167,6 @@ def test_cache_directory_follows_xdg_then_home(archive, tmp_path, monkeypatch):
     for value in ("", "relative/cache"):
         monkeypatch.setenv("XDG_CACHE_HOME", value)
         read_archive(archive)
-        forget_last_read()  # so the next read is a sighting
     monkeypatch.delenv("XDG_CACHE_HOME")
     read_archive(archive)
     assert len(entries(home / ".cache" / "eventpulse")) == 1
@@ -229,9 +222,7 @@ def test_cache_home_is_read_only(archive, tmp_path, cold, capsys, monkeypatch):
 def test_entry_cannot_be_written(archive, parse_cache, cold, capsys, monkeypatch, module, name):
     # what a read-only directory does to a user that permission bits bind;
     # a writer whose rename is refused removes its temp file
-    expected = cold(archive)
-    read_archive(archive)  # the first sighting leaves a marker
-    forget_last_read()  # so the first read below is the second, which writes
+    expected = cold(archive)  # the slot holds these bytes under another cache directory
     calls = []
 
     def refused(*args, **kwargs):
@@ -348,14 +339,11 @@ def test_writer_killed_before_its_entry_was_in_place(archive, parse_cache, cold,
         "from eventpulse import tweets\n"
         "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
         "tweets.read_archive(sys.argv[1])\n"
-        "tweets._last_read = (None, None)\n"  # so the second read is a sighting
-        "tweets.read_archive(sys.argv[1])\n"
     )
     done = fresh_interpreter(script, str(archive))
     assert done.returncode == -signal.SIGKILL
     [left] = parse_cache.glob("*.tmp")
     assert entries(parse_cache) == []
-    assert len(entries(parse_cache, ".seen")) == 1  # so the next read writes the entry
     assert results(archive, capsys) == cold(archive)
     assert len(entries(parse_cache)) == 1
     assert left.exists()  # young enough to be another writer's; the next prune leaves it
@@ -385,10 +373,6 @@ def test_archive_that_grows_between_its_hash_and_its_parse(archive, parse_cache,
                                                            monkeypatch):
     # the entry must be named by the bytes parsed, not by the ones hashed
     original = archive.read_bytes()
-    grown = original + (record_line(id=9, screen_name="berria") + "\n").encode()
-    for data in (grown, original):  # both seen once, so the read below writes an entry
-        archive.write_bytes(data)
-        read_archive(archive)
     hashed = tweets._entry_path
 
     def hash_then_append(handle):
@@ -398,7 +382,6 @@ def test_archive_that_grows_between_its_hash_and_its_parse(archive, parse_cache,
         return entry
 
     monkeypatch.setattr(tweets, "_entry_path", hash_then_append)
-    forget_last_read()  # it holds the result of the original bytes, the ones hashed below
     assert "berria" in repr(read_archive(archive)[0])
     assert len(entries(parse_cache)) == 1
     monkeypatch.setattr(tweets, "_entry_path", hashed)
@@ -420,8 +403,7 @@ def test_archive_rewritten_at_the_same_size_and_mtime(archive, parse_cache, cold
     expected = cold(archive)
     assert "mikal" in expected[0][0][0]
     rewrite(data)
-    cached(archive)
-    read_archive(archive)  # the old bytes have an entry, and the slot holds them
+    read_archive(archive)  # the old bytes get an entry, and the slot holds them
     rewrite(data.replace(b'"mikel"', b'"mikal"'))
     parsed = parses(monkeypatch)
     assert results(archive, capsys) == expected
@@ -452,7 +434,7 @@ def test_a_fifo_is_never_cached(archive, tmp_path, parse_cache, cold, capsys, mo
         commands.append((fed(lambda: run(argv)), capsys.readouterr().out))
     assert ([(repr(got), stats) for got, stats in reads], commands) == expected
     assert len(parsed) == 4
-    assert entries(parse_cache) == entries(parse_cache, ".seen") == []
+    assert not parse_cache.exists()
 
 
 def test_keeps_the_16_most_recently_used(tmp_path, parse_cache):
@@ -463,29 +445,63 @@ def test_keeps_the_16_most_recently_used(tmp_path, parse_cache):
         cached(path)
         [entry_of[path]] = set(entries(parse_cache)) - before
         os.utime(entry_of[path], (second, second))  # used in this order, long ago
-    read_archive(paths[0])  # a hit makes the oldest the newest
+    read_archive(paths[0])  # a load makes the oldest the newest
     cached(paths[16])
     assert len(entries(parse_cache)) == 16
     assert not entry_of[paths[1]].exists()
     assert entry_of[paths[0]].exists()
-    # markers are kept apart: 17 one-off reads evict no entry
-    kept = entries(parse_cache)
-    for i in range(17):
-        read_archive(write_archive(tmp_path / f"once{i}.jsonl", [record_line(id=100 + i)]))
-    assert (entries(parse_cache), len(entries(parse_cache, ".seen"))) == (kept, 16)
 
 
-def test_a_growing_file_never_writes_an_entry(archive, parse_cache, monkeypatch):
-    # each read of a day file being written sees new bytes
-    for number in range(5):
+def test_a_growing_file_evicts_its_own_oldest_versions(archive, tmp_path, parse_cache,
+                                                       monkeypatch):
+    # each read of a day file being written parses new bytes and writes their entry;
+    # a sealed archive loaded between those reads keeps its own
+    sealed = write_archive(tmp_path / "sealed.jsonl", [record_line(id=99)])
+    cached(sealed)
+    [kept] = entries(parse_cache)
+    parsed = parses(monkeypatch)
+    versions = []
+    for number in range(20):
         with open(archive, "ab") as handle:
             handle.write((record_line(id=10 + number) + "\n").encode())
         read_archive(archive)
-    assert (entries(parse_cache), len(entries(parse_cache, ".seen"))) == ([], 5)
-    cached(archive)  # the same bytes twice: now they are worth an entry
-    assert [entry.with_suffix(".seen").exists() for entry in entries(parse_cache)] == [False]
-    refuse_to_parse(monkeypatch)
-    assert [t.id for t in read_archive(archive)[0]][-5:] == [10, 11, 12, 13, 14]
+        [version] = set(entries(parse_cache)) - {kept, *versions}
+        versions.append(version)
+        os.utime(version, (number + 2, number + 2))  # written in this order, long ago
+        os.utime(kept, (1, 1))  # older than every version until the read below loads it
+        read_archive(sealed)
+        assert len(entries(parse_cache)) <= 16
+    assert len(parsed) == 20  # the sealed archive's reads each loaded its entry
+    assert entries(parse_cache) == sorted([kept, *versions[5:]])
+
+
+def test_a_file_another_process_removes_mid_prune(archive, parse_cache, monkeypatch):
+    # another process's prune takes entries first: one after this prune has
+    # listed the directory, and the first one this prune unlinks
+    parse_cache.mkdir(parents=True)
+    older = [parse_cache / f"{i:064x}.jsonl" for i in range(19)]
+    for used, entry in enumerate(older, start=1):
+        entry.write_bytes(b"[0,0]\n")
+        os.utime(entry, (used, used))
+    listing, unlink = os.scandir, os.unlink
+
+    def listed_then_lost(path):
+        monkeypatch.setattr(os, "scandir", listing)
+        with listing(path) as items:
+            listed = list(items)
+        unlink(older[-1])
+        return contextlib.nullcontext(iter(listed))
+
+    def lost_to_another(path):
+        unlink(path)
+        monkeypatch.setattr(os, "unlink", unlink)
+        raise FileNotFoundError(2, "No such file or directory", path)
+
+    monkeypatch.setattr(os, "scandir", listed_then_lost)
+    monkeypatch.setattr(os, "unlink", lost_to_another)
+    read_archive(archive)
+    assert len(entries(parse_cache)) == 16
+    assert len(set(entries(parse_cache)) - set(older)) == 1  # the archive's own entry
 
 
 def test_one_entry_serves_both_dedupe_values(archive, parse_cache, monkeypatch):
@@ -510,10 +526,7 @@ def test_an_entry_of_several_batch_lines(tmp_path, parse_cache, monkeypatch):
         if row % 97 == 0:
             lines.append("{oops")
     path = write_archive(tmp_path / "big.jsonl", lines)
-    cold = []
-    for dedupe in (False, True):  # two sightings: the second writes the entry
-        forget_last_read()
-        cold.append(read_archive(path, dedupe=dedupe))
+    cold = [read_archive(path, dedupe=dedupe) for dedupe in (False, True)]  # parse, then slot
     [entry] = entries(parse_cache)
     assert [len(json.loads(line)) for line in entry.read_bytes().splitlines()[1:]] == [
         size, size, 1,
@@ -538,11 +551,9 @@ def test_the_tool_leaves_other_cache_files_alone(archive, parse_cache):
 def test_an_empty_archive_gets_a_header_only_entry(tmp_path, parse_cache):
     path = write_archive(tmp_path / "empty.jsonl", [])
     assert read_archive(path) == ([], tweets.ParseStats())
-    assert entries(parse_cache) == []
-    forget_last_read()  # so the next read is the second sighting
-    assert read_archive(path) == ([], tweets.ParseStats())
     [entry] = entries(parse_cache)
     assert entry.read_bytes() == b"[0,0]\n"
+    forget_last_read()  # so the next read loads the entry
     assert read_archive(path, dedupe=True) == ([], tweets.ParseStats())
 
 
@@ -553,17 +564,13 @@ def test_a_repeated_read_takes_the_last_reads_result(archive, parse_cache, cold,
                                                      monkeypatch):
     expected = cold(archive)  # the slot now holds these bytes, under another cache directory
     parsed = parses(monkeypatch)
-    read_archive(archive)
+    read_archive(archive)  # it parses, and writes the entry
     assert len(parsed) == 1  # another cache directory is another key
-    assert (entries(parse_cache), len(entries(parse_cache, ".seen"))) == ([], 1)
-    forget_last_read()
-    read_archive(archive)  # the second sighting writes the entry
     [entry] = entries(parse_cache)
-    assert entries(parse_cache, ".seen") == []
     os.utime(entry, (1, 1))
     refuse_to_parse(monkeypatch, "_load_entry", "_store_entry")
     assert results(archive, capsys) == expected
-    assert (entries(parse_cache), entries(parse_cache, ".seen")) == ([entry], [])
+    assert os.listdir(parse_cache) == [entry.name]
     assert entry.stat().st_mtime == 1  # a hit changes no file, not even the entry's mtime
 
 
@@ -572,10 +579,10 @@ def on_disk(directory: Path) -> dict[str, tuple[bytes, int]]:
     return {path.name: (path.read_bytes(), path.stat().st_mtime_ns) for path in directory.iterdir()}
 
 
-def test_repeated_reads_in_one_process_are_one_sighting(archive, parse_cache):
-    reads = [read_archive(archive)]  # the one sighting: it leaves a marker
+def test_repeated_reads_in_one_process_are_one_read(archive, parse_cache):
+    reads = [read_archive(archive)]  # the one read that parses: it writes the entry
     left = on_disk(parse_cache)
-    assert [Path(name).suffix for name in left] == [".seen"]
+    assert [Path(name).suffix for name in left] == [".jsonl"]
     with pytest.MonkeyPatch.context() as patch:
         refuse_to_parse(patch, "_load_entry", "_store_entry")
         hashed = tweets._entry_path
@@ -593,11 +600,6 @@ def test_repeated_reads_in_one_process_are_one_sighting(archive, parse_cache):
             reads.append(read_archive(archive, dedupe=dedupe))
             assert on_disk(parse_cache) == left
         assert len(hashes) == 2
-    assert fresh_interpreter(
-        "import sys; from eventpulse.tweets import read_archive; read_archive(sys.argv[1])",
-        str(archive),
-    ).returncode == 0  # the second sighting, in another process, writes the entry
-    assert (len(entries(parse_cache)), entries(parse_cache, ".seen")) == (1, [])
     done = fresh_interpreter(FRESH_INTERPRETER_READ, str(archive), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [shown(read) for read in reads[:2]]

@@ -780,9 +780,7 @@ def test_cold_warm_and_fresh_interpreter_reads_agree(lines, last_end):
         for dedupe in (False, True):
             shutil.rmtree(cache, ignore_errors=True)
             forget_last_read()
-            cold.append(shown(read_archive(path, dedupe=dedupe)))  # leaves a marker
-            forget_last_read()  # so the next read is the second sighting
-            assert shown(read_archive(path, dedupe=dedupe)) == cold[-1]  # writes the entry
+            cold.append(shown(read_archive(path, dedupe=dedupe)))  # parses, and writes the entry
         assert len(list(cache.glob("*.jsonl"))) == 1
         forget_last_read()  # the warm reads load the entry
         refuse = AssertionError("a record was parsed: the read missed the cache")
@@ -886,15 +884,15 @@ def test_every_command_succeeds_whole_or_fails_whole_cold_and_warm(lines):
             for encoding in ("utf-8", "ascii"):
                 shutil.rmtree(cache, ignore_errors=True)
                 runs = []
-                # the first sighting leaves a marker, the second writes the entry, and the
-                # third run takes the second's result from the slot
-                for sighting in range(3):
-                    if sighting < 2:
-                        forget_last_read()  # which may hold this archive from the last command
+                # the first run parses and writes the entry, the second loads it, and the
+                # third takes the second's result from the slot
+                for forget in (True, True, False):
+                    if forget:
+                        forget_last_read()  # which may hold this archive from the last run
                     restore(directory, before)
                     code, printed, errors = run_with_stdout(argv, encoding)
                     runs.append((code, printed, errors, snapshot(directory)))
-                    assert bool(list(cache.glob("*.jsonl"))) == (sighting > 0), sighting
+                    assert len(list(cache.glob("*.jsonl"))) == 1
                     if code == 0:
                         assert errors == ""
                         assert outputs_parse(argv, printed.decode(encoding), directory), argv
