@@ -55,7 +55,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_EVENT_NAME = re.compile(r"^[A-Za-z0-9_-]+$")
+_EVENT_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 # tokens are maximal runs of letters and digits; underscore separates
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -88,8 +88,10 @@ class CollectionJob:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown collection mode: {self.mode!r}")
-        if not _EVENT_NAME.match(self.event_name):
+        if not _EVENT_NAME.fullmatch(self.event_name):
             raise ValueError(f"bad event name: {self.event_name!r}")
+        if isinstance(self.track_terms, (str, bytes)):  # tuple() would split it into letters
+            raise ValueError(f"track_terms must be a sequence of terms, not {self.track_terms!r}")
         object.__setattr__(self, "track_terms", tuple(self.track_terms))
         if not self.track_terms:
             raise ValueError("track_terms must not be empty")

@@ -16,10 +16,11 @@ A read that parses the bytes of a regular file writes their cache entry
 bytes, this file's bytes and ``sys.version``, and later reads of those
 bytes rebuild the same result from it without decoding a record. An
 entry is a header line ``[total_lines,malformed]``, then the valid
-records as rows, a batch of rows to a line, each line one array the
-stdlib JSON codec writes and reads. The 16 most recently written or
-loaded entries are kept, and an entry that cannot be read or written is
-parsed around.
+records in batches, each line the nine field columns of one batch in
+``Tweet._fields`` order, one array the stdlib JSON codec writes and
+reads. The 16 most recently written or loaded entries are kept, and an
+entry that cannot be read or written, or whose counts no parse can
+give, is parsed around.
 
 In one process, ``read_archive`` also keeps the result of its last read
 that had an entry path, keyed by that path. A read of the same bytes
@@ -471,7 +472,7 @@ def read_archive(
             if parse is None:
                 # the entry is named by the bytes parsed here, so a file that
                 # changed after it was hashed above cannot pass for its old bytes
-                digest = _keyed_digest() if entry is not None else None
+                digest = _code_key().copy() if entry is not None else None
                 parse = _parse(handle, digest)
                 if digest is not None:
                     entry = entry.with_name(f"{digest.hexdigest()}.jsonl")
@@ -516,25 +517,27 @@ def _kept(tweets: list[Tweet], dedupe: bool) -> tuple[list[Tweet], int]:
 
 # --- parse cache ---------------------------------------------------------------
 #
-# An entry is ``<sha256>.jsonl``: a header line ``[total_lines,malformed]``,
-# then one row per valid record in file order, duplicates included, with
-# up to _WRITE_BATCH_ROWS rows to a line, each line one JSON array of rows.
-# A row is ``[id,utc_seconds,author,text,[hashtag,...],retweet_of,reply_to,
-# coords,retweet_count]``, where retweet_of is ``[original_id,
-# original_author]``, coords ``[latitude,longitude]`` and each of the last
-# four may be null. The stdlib encoder writes each line as compact
-# ASCII-only JSON, so a lone surrogate is kept as its escape, and one
-# ``json.loads`` reads it back. Entries are trusted like the user's own
-# files: a row is checked for shape, not held to the reader's rules again.
+# An entry is ``<sha256>.jsonl``: a header line ``[total_lines,malformed]``
+# with 0 <= malformed <= total_lines, then the valid records in file order,
+# duplicates included, in batches of up to _BATCH_TWEETS. Each batch line is
+# one JSON array of nine columns of one length, in ``Tweet._fields`` order:
+# ``[ids,utc_seconds,authors,texts,hashtag_lists,retweet_ofs,reply_tos,
+# coords,retweet_counts]``, where a retweet_of is ``[original_id,
+# original_author]``, a coords ``[latitude,longitude]`` and a value in each
+# of the last four columns may be null. The stdlib encoder writes each line
+# as compact ASCII-only JSON, so a lone surrogate is kept as its escape, and
+# one ``json.loads`` reads it back. Entries are trusted like the user's own
+# files: a line is checked for shape, not held to the reader's rules again.
 
 _CACHE_ENTRIES = 16  # entries kept
 _STALE_TEMP_S = 3600  # a temp file this old was left by a writer that died
 _HASH_CHUNK = 1 << 20
-# rows to an entry line, so to one encode and one json.loads; of the sizes
-# tried (128 to 1,024), 400 alone left the peak RSS of warm reads as it was
-_WRITE_BATCH_ROWS = 400
+# records to an entry line, so to one encode and one json.loads; of the sizes
+# tried (128 to 1,024), 400 alone left the peak RSS of warm reads as it was,
+# and one line per column raised it
+_BATCH_TWEETS = 400
 _NULL = type(None)
-# rows hold no cycles, so the encoder need not look for them
+# columns hold no cycles, so the encoder need not look for them
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 # the entry path of the last read that had one, and that read's ``_parse``
 # result; one slot, so it holds one archive's Tweets, and it is rebound whole
@@ -542,14 +545,9 @@ _last_read: tuple[Path | None, tuple[int, int, list[Tweet]] | None] = (None, Non
 
 
 @functools.cache
-def _code_key() -> bytes:
-    """What every entry key covers besides the archive: this module's bytes and the Python."""
-    return Path(__file__).read_bytes() + sys.version.encode()
-
-
-def _keyed_digest():
-    """A sha256 that has taken in ``_code_key()``, ready for the archive bytes."""
-    return hashlib.sha256(_code_key())
+def _code_key():
+    """The sha256 of this module's bytes and the Python, which each entry key ``.copy()``s."""
+    return hashlib.sha256(Path(__file__).read_bytes() + sys.version.encode())
 
 
 def _cache_dir() -> Path:
@@ -572,7 +570,7 @@ def _entry_path(handle: BinaryIO) -> Path | None:
         if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
             return None
         directory = _cache_dir()
-        digest = _keyed_digest()
+        digest = _code_key().copy()
     except (OSError, RuntimeError, KeyError):  # Path.home() with no HOME and no user entry
         return None
     while chunk := handle.read(_HASH_CHUNK):
@@ -587,29 +585,28 @@ def _load_entry(entry: Path) -> tuple[int, int, list[Tweet]] | None:
         with open(entry, "rb") as handle:
             total_lines, malformed = json.loads(handle.readline())
             _check_columns(((total_lines, malformed), int))
-            valid = [tweet for line in handle for tweet in _rows_tweets(json.loads(line))]
+            valid = [tweet for line in handle for tweet in _batch_tweets(json.loads(line))]
     except (OSError, ValueError, TypeError, OverflowError, RecursionError):
         return None  # absent, torn or of the wrong shape
-    if len(valid) != total_lines - malformed:
-        return None
+    if not 0 <= malformed <= total_lines or len(valid) != total_lines - malformed:
+        return None  # counts that no parse gives
     with suppress(OSError):
         os.utime(entry)  # the mtime orders entries by last use
     return total_lines, malformed, valid
 
 
-def _rows_tweets(rows: list) -> list[Tweet]:
-    """The Tweets of one entry line's rows, as ``_row`` gave them.
+def _batch_tweets(columns: list) -> list[Tweet]:
+    """The Tweets of one entry line's nine columns, as ``_store_entry`` wrote them.
 
-    The work goes a field at a time over the whole batch, in C loops
-    (``map``, ``zip``, ``set``), not a row at a time: this is the warm
-    read's cost. Raises ValueError or TypeError if a row has the wrong
-    shape: not nine fields, or a field not of the JSON type ``_row``
-    gives. Like ``_build_tweet``, it makes each Tweet with
-    ``_trusted_tweet``.
+    The work goes a column at a time over the whole batch, in C loops
+    (``map``, ``zip``, ``set``), not a Tweet at a time: this is the warm
+    read's cost. Raises ValueError or TypeError if the line has the
+    wrong shape: not nine lists of one length, or a value not of the
+    JSON type its column holds. Like ``_build_tweet``, it makes each
+    Tweet with ``_trusted_tweet``.
     """
-    ids, seconds, authors, texts, hashtags, retweets, replies, points, counts = zip(
-        *rows, strict=True
-    )
+    _check_columns((columns, list))
+    ids, seconds, authors, texts, hashtags, retweets, replies, points, counts = columns
     _check_columns(
         (ids, int), (seconds, int), (authors, str), (texts, str), (hashtags, list),
         (retweets, list, _NULL), (replies, str, _NULL), (points, list, _NULL), (counts, int, _NULL),
@@ -632,6 +629,7 @@ def _rows_tweets(rows: list) -> list[Tweet]:
         replies,
         [None if pair is None else tuple(pair) for pair in points],
         counts,
+        strict=True,
     )))
 
 
@@ -640,13 +638,6 @@ def _check_columns(*columns: tuple) -> None:
     for values, *types in columns:
         if not set(map(type, values)).issubset(types):
             raise ValueError("cache entry of the wrong shape")
-
-
-def _row(tweet: Tweet) -> tuple:
-    """The entry row of a parsed Tweet; ``_rows_tweets`` turns it back into an equal one."""
-    tweet_id, created_at, *rest = tweet
-    # UTC in whole seconds, so the float timestamp is exact
-    return (tweet_id, int(created_at.timestamp()), *rest)
 
 
 def _store_entry(entry: Path, total_lines: int, malformed: int, tweets: list[Tweet]) -> None:
@@ -658,9 +649,11 @@ def _store_entry(entry: Path, total_lines: int, malformed: int, tweets: list[Twe
         try:
             with open(fd, "w", encoding="ascii", newline="\n") as out:
                 out.write(f"[{total_lines},{malformed}]\n")
-                for start in range(0, len(tweets), _WRITE_BATCH_ROWS):
-                    rows = list(map(_row, tweets[start : start + _WRITE_BATCH_ROWS]))
-                    out.write(_encode(rows) + "\n")
+                for start in range(0, len(tweets), _BATCH_TWEETS):
+                    ids, stamps, *rest = zip(*tweets[start : start + _BATCH_TWEETS])
+                    # UTC in whole seconds, so the float timestamp is exact
+                    seconds = [int(stamp.timestamp()) for stamp in stamps]
+                    out.write(_encode([ids, seconds, *rest]) + "\n")
             os.replace(temp, entry)  # readers see a whole entry or none
         except BaseException:
             with suppress(OSError):

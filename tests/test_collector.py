@@ -87,8 +87,9 @@ class TestCollectionJob:
             CollectionJob("firehose", "ok", ("a",), tmp_path)
 
     def test_bad_event_name(self, tmp_path):
-        with pytest.raises(ValueError):
-            CollectionJob("stream", "no spaces!", ("a",), tmp_path)
+        for name in ("no spaces!", "ev\n"):  # "$" alone would let a final line feed through
+            with pytest.raises(ValueError):
+                CollectionJob("stream", name, ("a",), tmp_path)
 
     def test_event_name_charset(self, tmp_path):
         job = CollectionJob("stream", "Korrika_19-etapa", ("a",), tmp_path)
@@ -97,6 +98,12 @@ class TestCollectionJob:
     def test_empty_terms(self, tmp_path):
         with pytest.raises(ValueError):
             CollectionJob("stream", "ok", (), tmp_path)
+
+    @pytest.mark.parametrize("terms", ["korrika", b"korrika"])
+    def test_terms_given_as_one_string(self, tmp_path, terms):
+        # tuple() would make each letter a term
+        with pytest.raises(ValueError):
+            CollectionJob("stream", "ok", terms, tmp_path)
 
 
 class TestMatchesTrack:

@@ -39,10 +39,10 @@ from eventpulse.tweets import read_archive
 
 @pytest.fixture
 def archive(tmp_path):
-    """Every kind of field a row carries, a duplicate id and three malformed lines."""
+    """Every kind of field an entry holds, a duplicate id and three malformed lines."""
     lines = [
         record_line(id=1, screen_name="ane", text="bat #gora"),
-        # the row that test_row_of_the_wrong_shape alters: every field set
+        # value 1 of each column, which test_row_of_the_wrong_shape alters: every field set
         record_line(
             id=2, screen_name="mikel", text="RT @ane: bat", retweet=(1, "ane", 7),
             reply_to="ane", coordinates=(-0.0, 43.26),
@@ -132,15 +132,23 @@ def test_entry_layout(archive, parse_cache):
     [entry] = entries(parse_cache)
     data = entry.read_bytes()
     assert data.isascii() and data.endswith(b"\n")
-    header, batch = data.decode().splitlines()  # the six rows fit in one batch line
+    header, batch = data.decode().splitlines()  # the six records fit in one batch line
     assert json.loads(header) == [9, 3]
     assert stats.total_lines == 9 and stats.skipped_malformed == 3
-    rows = json.loads(batch)
-    assert len(rows) == 6 == len(tweets_)  # every valid record, the duplicate too
-    assert rows[1] == [
-        2, 1426788000, "mikel", "RT @ane: bat", [], [1, "ane"], "ane", [43.26, -0.0], 7,
-    ]
-    assert '"un\\ud800ai","kontrol\\u0001 #Gora"' in batch
+    assert len(tweets_) == 6  # every valid record, the duplicate too
+    # the nine columns in Tweet._fields order, created_at as UTC epoch seconds
+    assert batch == (
+        '[[1,2,3,18446744073709551615,4,1],'
+        '[1426788000,1426788000,1426788000,253402300799,-62135596800,1426788000],'
+        '["ane","mikel","un\\ud800ai","jon","ane","ane"],'
+        '["bat #gora","RT @ane: bat","kontrol\\u0001 #Gora","kaixo mundua","kaixo mundua",'
+        '"bat berriz"],'
+        '[["gora"],[],["gora"],[],[],[]],'
+        '[null,[1,"ane"],null,null,null,null],'
+        '[null,"ane",null,null,null,null],'
+        '[null,[43.26,-0.0],null,null,null,null],'
+        '[null,7,null,null,null,null]]'
+    )
 
 
 def test_entry_name_covers_the_archive_the_parser_and_python(archive, tmp_path, parse_cache):
@@ -252,29 +260,34 @@ def test_truncated_entry(archive, parse_cache, cold, capsys, keep):
     assert entry.read_bytes() == whole  # the fallback parse wrote it again
 
 
-def in_batch(bad_rows):
-    """Change an entry's lines: the batch's row 1 (every field set) becomes ``bad_rows(row)``."""
+def in_line(edit):
+    """Change an entry's lines: the batch line's nine columns become ``edit(columns)``."""
     def change(lines: list) -> list:
         header, batch = lines
-        rows = json.loads(batch)
-        rows[1:2] = bad_rows(rows[1])
-        return [header, json.dumps(rows).encode() + b"\n"]
+        return [header, json.dumps(edit(json.loads(batch))).encode() + b"\n"]
     return change
+
+
+def each_column(edit):
+    """Change an entry's lines: each column of the batch line becomes ``edit(column)``."""
+    return in_line(lambda columns: [edit(column) for column in columns])
 
 
 @pytest.mark.parametrize(
     "change",
     [
-        in_batch(lambda row: []),  # a row short
-        in_batch(lambda row: [row, row]),  # a row over
+        each_column(lambda column: column[:1] + column[2:]),  # record 1 gone from every column
+        each_column(lambda column: column[:2] + column[1:]),  # record 1 twice in every column
         lambda lines: [b"[9,2]\n", *lines[1:]],  # a header that counts one more valid line
         lambda lines: [b"[9,-1]\n", *lines[1:]],
         lambda lines: [b"[9]\n", *lines[1:]],
         lambda lines: [b'{"total":9}\n', *lines[1:]],
         lambda lines: [b"[9.0,3.0]\n", *lines[1:]],
+        # 6 == -3 - -9 valid records, but no parse counts -3 lines
+        lambda lines: [b"[-3,-9]\n", *lines[1:]],
     ],
     ids=["row-missing", "row-extra", "header-count", "header-negative", "header-short",
-         "header-object", "header-floats"],
+         "header-object", "header-floats", "header-impossible-counts"],
 )
 def test_entry_with_a_wrong_header_or_row_count(archive, parse_cache, cold, capsys, change):
     entry, whole = corrupt(
@@ -286,26 +299,38 @@ def test_entry_with_a_wrong_header_or_row_count(archive, parse_cache, cold, caps
 
 
 def altered(index: int, value):
-    """An entry's lines with field ``index`` of row 1 (every field set) set to ``value``."""
-    def with_value(row: list) -> list:
-        row[index] = value
-        return [row]
-    return in_batch(with_value)
+    """An entry's lines with value 1 (every field set) of column ``index`` set to ``value``."""
+    def with_value(columns: list) -> list:
+        columns[index][1] = value
+        return columns
+    return in_line(with_value)
+
+
+def one_text_short(lines: list) -> list:
+    """An entry's lines with the texts column one value short.
+
+    The header counts one valid record fewer, which is what the shortest
+    column gives, so only the check that all nine columns are of one
+    length can refuse the line.
+    """
+    _header, batch = in_line(lambda columns: [*columns[:3], columns[3][:-1], *columns[4:]])(lines)
+    return [b"[9,4]\n", batch]
 
 
 @pytest.mark.parametrize(
     "change",
     [
-        in_batch(lambda row: [[1, 2]]),
-        in_batch(lambda row: [{"id": 2}]),
-        in_batch(lambda row: [{str(i): v for i, v in enumerate(row)}]),
-        in_batch(lambda row: ["x" * 9]),
-        # bytes that are no batch of rows, in place of the whole batch line
+        in_line(lambda columns: columns[:2]),  # two columns
+        in_line(lambda columns: [{"id": columns[0]}, *columns[1:]]),  # a column as an object
+        in_line(lambda columns: {str(i): column for i, column in enumerate(columns)}),
+        # texts as one string of as many letters: each value is a str, but no list holds them
+        in_line(lambda columns: [*columns[:3], "x" * len(columns[3]), *columns[4:]]),
+        # bytes that are no batch of columns, in place of the whole batch line
         lambda lines: [lines[0], b""],
         lambda lines: [lines[0], b"[" * 100_000],
         lambda lines: [lines[0], b"\xff" + lines[1]],
-        in_batch(lambda row: [row, row]),  # a row over
-        in_batch(lambda row: [row + [None]]),
+        each_column(lambda column: column + column[-1:]),  # a value over in every column
+        in_line(lambda columns: [*columns, [None] * len(columns[0])]),  # a tenth column
         altered(0, "2"),
         altered(1, 1426788000.5),
         altered(1, 10**12),  # past year 9999
@@ -321,6 +346,7 @@ def altered(index: int, value):
         altered(7, [43.26]),
         altered(8, True),
         altered(8, "7"),
+        one_text_short,
     ],
 )
 def test_row_of_the_wrong_shape(archive, parse_cache, cold, capsys, change):
@@ -516,7 +542,7 @@ def test_one_entry_serves_both_dedupe_values(archive, parse_cache, monkeypatch):
 
 
 def test_an_entry_of_several_batch_lines(tmp_path, parse_cache, monkeypatch):
-    size = tweets._WRITE_BATCH_ROWS
+    size = tweets._BATCH_TWEETS
     ids = list(range(1, 2 * size + 2))  # one valid record more than two batch lines hold
     ids[size] = ids[size - 1]  # a duplicate across the first batch boundary
     ids[-1] = ids[5]  # and one alone in the last batch line
@@ -528,8 +554,9 @@ def test_an_entry_of_several_batch_lines(tmp_path, parse_cache, monkeypatch):
     path = write_archive(tmp_path / "big.jsonl", lines)
     cold = [read_archive(path, dedupe=dedupe) for dedupe in (False, True)]  # parse, then slot
     [entry] = entries(parse_cache)
-    assert [len(json.loads(line)) for line in entry.read_bytes().splitlines()[1:]] == [
-        size, size, 1,
+    batches = [json.loads(line) for line in entry.read_bytes().splitlines()[1:]]
+    assert [[len(column) for column in columns] for columns in batches] == [
+        [size] * 9, [size] * 9, [1] * 9,
     ]
     assert (cold[1][1].skipped_malformed, cold[1][1].duplicates_dropped) == (9, 2)
     forget_last_read()  # the warm reads load the entry's three lines

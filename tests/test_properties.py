@@ -730,7 +730,7 @@ SIGNED_ZEROS = st.sampled_from([-0.0, 0.0])
 
 @st.composite
 def cache_records(draw):
-    """A record to stress an entry row: all of Unicode, the ends of the id and date ranges, -0.0."""
+    """A record to stress an entry: all of Unicode, the ends of the id and date ranges, -0.0."""
     return make_record(
         id=draw(EDGE_IDS),
         created_at=draw(EDGE_STAMPS),
